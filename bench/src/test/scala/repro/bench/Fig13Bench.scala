@@ -1,85 +1,46 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Optimizer
-import repro.core.Model._
-import repro.exec.{CompiledPlan, OnlineExecutors, TwoStepExecutors}
 import repro.experiments.Fig13TwoStepVsOnline
-import repro.workload.{StreamGen, WorkloadGen}
 
 /** Figure 13 bench: two-step (Flink-like, SPASS-like) vs online (A-Seq,
-  * Sharon). Prints the reproduction table and asserts the paper's shape:
-  * two-step latency explodes with events/window while online latency
-  * stays orders of magnitude lower.
+  * Sharon). Prints the reproduction table and asserts the paper's shape
+  * on its points: two-step latency explodes with events/window while
+  * online latency stays orders of magnitude lower.
   */
 class Fig13Bench extends SparkSpec {
 
   private val params = Fig13TwoStepVsOnline.Params()
+  private lazy val points = Fig13TwoStepVsOnline.run(spark, params)
+  private def at(epw: Int) = points.find(_.eventsPerWindow == epw).get
 
   test("Fig 13 table: latency and throughput per approach") {
-    val table = Fig13TwoStepVsOnline.run(spark, params)
-    println(table.render)
-    assert(table.rows.size == params.eventsPerWindow.size)
+    println(Fig13TwoStepVsOnline.table(points).render)
+    assert(points.size == params.eventsPerWindow.size)
   }
 
   test("shape: online beats two-step decisively at the largest completed point") {
-    val win      = WindowSpec(60, 30)
-    val workload = WorkloadGen.traffic(win)
-    val typeIds  = CompiledPlan.typeDictionary(workload)
-    val nTypes   = typeIds.size
-    val epw      = 2000
-    val duration = win.lengthSec * 2
-    val nEvents  = epw * duration / win.lengthSec
-    val events   = StreamGen.linearRoadLike(spark, nEvents, duration, nTypes, 20, 17).cache()
-    events.count()
-    val rates = Rates(typeIds.map { case (n, _) => n -> nEvents.toDouble / duration / nTypes })
-    val plan  = Optimizer.sharon(workload, rates).plan
-    val aseq  = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-    val flink = TwoStepExecutors.runFlinkLike(spark, events.toDF(), workload, typeIds)
-    events.unpersist()
-    info(f"flink=${flink.millis}%.0f ms aseq=${aseq.millis}%.0f ms " +
-      f"constructed=${flink.matchesConstructed}")
+    val pt    = at(2000)
+    val flink = pt.flinkMs.get
+    info(f"flink=$flink%.0f ms aseq=${pt.aseqMs}%.0f ms constructed=${pt.flinkConstructed.get}")
     // Wall-clock is noisy under a full-suite run; 3x is still decisive,
     // and the real blow-up driver (materialized sequences vs engine work
     // units) is asserted deterministically below.
-    assert(flink.millis > 3 * aseq.millis,
-      s"two-step (${flink.millis} ms) should dwarf online (${aseq.millis} ms)")
+    assert(flink > 3 * pt.aseqMs,
+      s"two-step ($flink ms) should dwarf online (${pt.aseqMs} ms)")
   }
 
   test("shape: sequence construction grows superlinearly in events/window") {
-    val win      = WindowSpec(60, 30)
-    val workload = WorkloadGen.traffic(win)
-    val typeIds  = CompiledPlan.typeDictionary(workload)
-    val nTypes   = typeIds.size
-    def constructed(epw: Int): Long = {
-      val duration = win.lengthSec * 2
-      val nEvents  = epw * duration / win.lengthSec
-      val ev = StreamGen.linearRoadLike(spark, nEvents, duration, nTypes, 20, 17).cache()
-      ev.count()
-      val r = TwoStepExecutors.runFlinkLike(spark, ev.toDF(), workload, typeIds)
-      ev.unpersist()
-      r.matchesConstructed
-    }
-    val c1 = constructed(500)
-    val c4 = constructed(2000)
+    val c1 = at(500).flinkConstructed.get
+    val c4 = at(2000).flinkConstructed.get
     info(s"matches at 500 ev/w: $c1, at 2000 ev/w: $c4")
     assert(c4 > 8 * c1, "4x events should yield >8x constructed sequences (polynomial)")
   }
 
   test("shape: SPASS-like shares construction — fewer rows than Flink-like") {
-    val win      = WindowSpec(60, 30)
-    val workload = WorkloadGen.traffic(win)
-    val typeIds  = CompiledPlan.typeDictionary(workload)
-    val nTypes   = typeIds.size
-    val nEvents  = 2000L
-    val ev = StreamGen.linearRoadLike(spark, nEvents, 120, nTypes, 20, 17).cache()
-    ev.count()
-    val rates = Rates(typeIds.map { case (n, _) => n -> nEvents / 120.0 / nTypes })
-    val plan  = Optimizer.sharon(workload, rates).plan
-    val f = TwoStepExecutors.runFlinkLike(spark, ev.toDF(), workload, typeIds)
-    val s = TwoStepExecutors.runSpassLike(spark, ev.toDF(), workload, plan, typeIds)
-    ev.unpersist()
-    info(s"flink constructed=${f.matchesConstructed} spass constructed=${s.matchesConstructed}")
-    assert(s.matchesConstructed < f.matchesConstructed)
+    val pt = at(1000)
+    val (f, s) = (pt.flinkConstructed.get, pt.spassConstructed.get)
+    info(s"flink constructed=$f spass constructed=$s")
+    assert(s < f)
   }
 }

@@ -12,6 +12,7 @@ import repro.experiments.Fig14OnlineApproaches.Params
 class Fig14Bench extends SparkSpec {
 
   private val p = Params()
+  private lazy val queriesTable = Fig14OnlineApproaches.runQueriesSweep(spark, p)
 
   test("Fig 14(a,e) table: events-per-window sweep") {
     val t = Fig14OnlineApproaches.runEventsSweep(spark, p)
@@ -20,9 +21,8 @@ class Fig14Bench extends SparkSpec {
   }
 
   test("Fig 14(b,d,f) table: query-count sweep; Sharon work advantage grows") {
-    val t = Fig14OnlineApproaches.runQueriesSweep(spark, p)
-    println(t.render)
-    val workRatios = t.rows.map(r => r(8).toDouble) // work ratio column
+    println(queriesTable.render)
+    val workRatios = queriesTable.rows.map(r => r(8).toDouble) // work ratio column
     info(s"work ratios across query counts: $workRatios")
     assert(workRatios.forall(_ >= 1.0), "sharing must never add model work")
     assert(workRatios.last > workRatios.head,
@@ -37,9 +37,7 @@ class Fig14Bench extends SparkSpec {
   }
 
   test("shape: Sharon uses less peak memory than A-Seq at high query counts") {
-    val t = Fig14OnlineApproaches.runQueriesSweep(spark,
-      p.copy(numQueries = Seq(80)))
-    val memRatio = t.rows.head(11).toDouble
+    val memRatio = queriesTable.rows.find(_.head == "queries=80").get(11).toDouble
     info(s"A-Seq/Sharon memory ratio at 80 queries: $memRatio")
     assert(memRatio > 1.0)
   }

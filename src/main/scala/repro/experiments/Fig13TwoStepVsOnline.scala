@@ -27,7 +27,16 @@ object Fig13TwoStepVsOnline {
       numKeys: Int = 20,
       seed: Long = 17)
 
-  def run(spark: SparkSession, p: Params = Params()): ExperimentTable = {
+  /** One events/window point. Two-step fields are `None` (DNF) above
+    * `twoStepCutoff`; `*Constructed` counts the sequences each two-step
+    * baseline materialized.
+    */
+  final case class Point(eventsPerWindow: Int, events: Long, queries: Int,
+                         flinkMs: Option[Double], spassMs: Option[Double],
+                         aseqMs: Double, sharonMs: Double,
+                         flinkConstructed: Option[Long], spassConstructed: Option[Long])
+
+  def run(spark: SparkSession, p: Params = Params()): Seq[Point] = {
     val workload = WorkloadGen.traffic(p.window)
     val typeIds  = CompiledPlan.typeDictionary(workload)
     val nTypes   = typeIds.size
@@ -41,7 +50,7 @@ object Fig13TwoStepVsOnline {
       TwoStepExecutors.runFlinkLike(spark, ev.toDF(), workload, typeIds)
       ev.unpersist()
     }
-    val rows = p.eventsPerWindow.map { epw =>
+    p.eventsPerWindow.map { epw =>
       val nEvents = epw.toLong * duration / p.window.lengthSec
       val events = StreamGen.linearRoadLike(
         spark, nEvents, duration, nTypes, p.numKeys, p.seed).cache()
@@ -51,28 +60,28 @@ object Fig13TwoStepVsOnline {
       val rates = Rates(typeIds.map { case (n, _) =>
         n -> epw.toDouble / nTypes })
       val plan = Optimizer.sharon(workload, rates).plan
-
-      def thr(msTotal: Double): String =
-        if (msTotal <= 0) "-" else f"${nEvents * workload.size / (msTotal / 1000)}%.0f"
-
-      val (aseqMs, sharonMs) = {
-        val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-        val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
-        (a.millis, s.millis)
-      }
-      val (flinkMs, spassMs) =
-        if (epw > p.twoStepCutoff) (None, None)
-        else {
-          val f = TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds)
-          val s = TwoStepExecutors.runSpassLike(spark, eventsDf, workload, plan, typeIds)
-          (Some(f.millis), Some(s.millis))
-        }
+      val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+      val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
+      val twoStep =
+        if (epw > p.twoStepCutoff) None
+        else Some((TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds),
+          TwoStepExecutors.runSpassLike(spark, eventsDf, workload, plan, typeIds)))
       events.unpersist()
-      Seq(epw.toString,
-        flinkMs.map(ms).getOrElse("DNF"), spassMs.map(ms).getOrElse("DNF"),
-        ms(aseqMs), ms(sharonMs),
-        flinkMs.map(thr).getOrElse("DNF"), spassMs.map(thr).getOrElse("DNF"),
-        thr(aseqMs), thr(sharonMs))
+      Point(epw, nEvents, workload.size,
+        twoStep.map(_._1.millis), twoStep.map(_._2.millis), a.millis, s.millis,
+        twoStep.map(_._1.matchesConstructed), twoStep.map(_._2.matchesConstructed))
+    }
+  }
+
+  def table(points: Seq[Point]): ExperimentTable = {
+    val rows = points.map { pt =>
+      def thr(msTotal: Double): String =
+        if (msTotal <= 0) "-" else f"${pt.events * pt.queries / (msTotal / 1000)}%.0f"
+      Seq(pt.eventsPerWindow.toString,
+        pt.flinkMs.map(ms).getOrElse("DNF"), pt.spassMs.map(ms).getOrElse("DNF"),
+        ms(pt.aseqMs), ms(pt.sharonMs),
+        pt.flinkMs.map(thr).getOrElse("DNF"), pt.spassMs.map(thr).getOrElse("DNF"),
+        thr(pt.aseqMs), thr(pt.sharonMs))
     }
     ExperimentTable(
       "Fig 13: two-step vs online (LR-like stream, traffic workload)",

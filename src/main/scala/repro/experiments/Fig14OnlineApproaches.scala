@@ -34,7 +34,8 @@ object Fig14OnlineApproaches {
 
   final case class Point(x: String, aseqMs: Double, sharonMs: Double,
                          aseqWork: Long, sharonWork: Long,
-                         aseqMem: Long, sharonMem: Long, events: Long, queries: Int)
+                         aseqMem: Long, sharonMem: Long, events: Long, queries: Int,
+                         soCompleted: Boolean)
 
   private def point(spark: SparkSession, p: Params,
                     epw: Int, nq: Int, len: Int, label: String): Point = {
@@ -49,15 +50,14 @@ object Fig14OnlineApproaches {
     // Cost-model rates in events/window (dimensionally consistent units
     // for Eq 5 — see StreamGen.perWindowRates).
     val rates    = StreamGen.perWindowRates(epw, nTypes)
-    val plan = Optimizer.sharon(workload, rates,
-      maxOptions = 64, maxLevelWidth = 50000).plan
+    val so = Optimizer.sharon(workload, rates, maxOptions = 64, maxLevelWidth = 50000)
     val events = StreamGen.uniform(spark, nEvents, duration, nTypes, p.numKeys, p.seed).cache()
     events.count()
     val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-    val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
+    val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)
     events.unpersist()
     Point(label, a.millis, s.millis, a.metrics.workUnits, s.metrics.workUnits,
-      a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, nq)
+      a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, nq, so.completed)
   }
 
   private def row(pt: Point): Seq[String] = {
@@ -66,12 +66,13 @@ object Fig14OnlineApproaches {
     Seq(pt.x, ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
       thr(pt.aseqMs), thr(pt.sharonMs),
       pt.aseqWork.toString, pt.sharonWork.toString, ratio(pt.aseqWork.toDouble, pt.sharonWork.toDouble),
-      pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble))
+      pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble),
+      yesNo(pt.soCompleted))
   }
 
   private val header = Seq("x", "A-Seq ms", "Sharon ms", "speedup",
     "A-Seq ev/s", "Sharon ev/s", "A-Seq work", "Sharon work", "work ratio",
-    "A-Seq mem", "Sharon mem", "mem ratio")
+    "A-Seq mem", "Sharon mem", "mem ratio", "SO complete")
 
   def runEventsSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
     ExperimentTable(

@@ -62,13 +62,14 @@ object Fig16PlanQuality {
         g.metrics.peakStateUnits.toString, s.metrics.peakStateUnits.toString,
         ratio(g.metrics.peakStateUnits.toDouble, s.metrics.peakStateUnits.toDouble),
         g.metrics.workUnits.toString, s.metrics.workUnits.toString,
-        ratio(g.metrics.workUnits.toDouble, s.metrics.workUnits.toDouble))
+        ratio(g.metrics.workUnits.toDouble, s.metrics.workUnits.toDouble),
+        yesNo(sharon.completed))
     }
     ExperimentTable(
       "Fig 16: executor under greedy vs optimal plan (taxi-like stream)",
       Seq("queries", "GO score", "SO score", "greedy ms", "optimal ms", "lat ratio",
         "greedy mem", "optimal mem", "mem ratio",
-        "greedy work", "optimal work", "work ratio"),
+        "greedy work", "optimal work", "work ratio", "SO complete"),
       rows)
   }
 }

@@ -24,15 +24,13 @@ object Harness {
   def ms(x: Double): String = f"$x%.1f"
   def ratio(a: Double, b: Double): String = if (b == 0) "-" else f"${a / b}%.2f"
 
-  /** Wall-clock of `body` in milliseconds alongside its value. */
-  def timed[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1e6)
-  }
+  /** "SO complete" cell: "no" marks a fallback plan, taken when the plan
+    * finder's anytime cutoff fired (`Optimizer.Result.completed`).
+    */
+  def yesNo(b: Boolean): String = if (b) "yes" else "no"
 
-  /** A standalone session for the `jobs/` entrypoints (benches reuse the
-    * shared SparkSpec session instead).
+  /** A standalone session for [[Main]] (benches reuse the shared
+    * SparkSpec session instead).
     */
   def localSpark(app: String): SparkSession =
     SparkSession.builder

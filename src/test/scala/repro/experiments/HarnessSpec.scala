@@ -24,8 +24,14 @@ class HarnessSpec extends AnyFunSuite {
     assert(ratio(3.0, 2.0) == "1.50")
   }
 
-  test("timed returns value and non-negative duration") {
-    val (v, t) = timed { 41 + 1 }
-    assert(v == 42 && t >= 0.0)
+  test("Main's parser returns usage for an unknown figure or a malformed argument") {
+    // parse only builds thunks, so no figure runs and no Spark session starts.
+    for (bad <- Seq(Seq(), Seq("fig12"), Seq("fig13", "500", "x"), Seq("fig15", "1.5"),
+                    Seq("fig16", "-3"), Seq("fig14", "widths"), Seq("fig14", "events", "all")))
+      assert(Main.parse(bad) == Left(Main.usage), bad)
+    for (good <- Seq(Seq("fig13"), Seq("fig14"), Seq("fig14", "queries"), Seq("fig15", "10", "20"),
+                     Seq("fig16", "3")))
+      assert(Main.parse(good).isRight, good)
+    assert(Main.parse(Seq("fig14", "all")).map(_.size) == Right(3))
   }
 }
