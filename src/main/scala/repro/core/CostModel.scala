@@ -40,10 +40,10 @@ object CostModel {
     * The triple product is the cost of combining across *two* levels
     * (prefix × p × suffix): the middle level must keep per-(outer START,
     * inner START) snapshots and touch every pair. When the prefix (resp.
-    * suffix) is empty there is a single, final combination level, which
-    * the executor answers with time-sorted cumulative snapshots (one
-    * binary search per window at each completion) — a quadratic cost,
-    * matching the literal Eq 5 with the missing factor dropped. A query
+    * suffix) is empty there is a single, final combination level, whose
+    * snapshots the executor buckets by slide index (one lookup per window
+    * at each completion) — a quadratic cost, matching the literal Eq 5
+    * with the missing factor dropped. A query
     * identical to `p` needs no combination at all.
     */
   def comb(rates: Rates, p: Pattern, q: Query): Double = {

@@ -17,12 +17,17 @@ import CompiledPlan._
   * increment `δ`, it adds `snap(a,c) × δ` to the combined count per `a`.
   * The END event of the last segment updates the result of every window
   * it falls into, restricted to STARTs `a` inside that window
-  * (Fig 6(b) expiration semantics).
+  * (Fig 6(b) expiration semantics). Each count is kept once: the combined
+  * count of `S_1` alone is `S_1`'s own full-segment count per START.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
   * (Definition 1), so events sharing a timestamp are evaluated against
   * the state as of strictly-earlier times — reads happen for the whole
-  * tie-batch first, state mutations are committed afterwards.
+  * tie-batch first, count increments are committed afterwards, and every
+  * reader skips STARTs not strictly earlier than the event it evaluates.
+  *
+  * Counts are exact: an update that would overflow a `Long` throws
+  * `ArithmeticException` instead of wrapping around.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -64,29 +69,34 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     */
   final class SegmentRuntime(val types: Vector[Int]) {
     private val levelOf: Map[Int, Int] = types.zipWithIndex.toMap
+    private val last = types.size - 1
     val starts = mutable.ArrayBuffer.empty[StartState]
-    private var pendingStarts = List.empty[StartState]
-    private var pendingIncs   = List.empty[PendingInc]
-
-    /** Phase 1: evaluate `e` against pre-batch state. Returns the newly
-      * created START (not yet live) and the full-segment completions
-      * `(start, delta)` ending at `e`.
+    private var pendingIncs = List.empty[PendingInc]
+    /** The current event's new START (null if none) and the STARTs whose
+      * full-segment matches it completes; cleared once the event's
+      * queries have run.
       */
-    def observe(e: Event): (Option[StartState], List[(StartState, Long)]) =
+    var started: StartState = null
+    val completed = mutable.ArrayBuffer.empty[StartState]
+
+    /** Full-segment matches from `s` completed by the current event: its
+      * pre-batch count one level down (increments commit after the batch).
+      */
+    def completionDelta(s: StartState): Long = if (last == 0) 1L else s.counts(last - 1)
+
+    /** Phase 1: evaluate `e` against pre-batch state. */
+    def observe(e: Event): Unit =
       levelOf.get(e.etype) match {
-        case None => (None, Nil)
+        case None => ()
         case Some(0) =>
-          val st = new StartState(e.time, types.size)
-          pendingStarts ::= st
+          started = new StartState(e.time, types.size)
+          starts += started
           metrics.countUpdates += 1
           metrics.addState(types.size.toLong)
           // A single-type segment completes at its own START event.
-          val comps = if (types.size == 1) List((st, 1L)) else Nil
-          (Some(st), comps)
+          if (last == 0) completed += started
         case Some(j) =>
-          var comps = List.empty[(StartState, Long)]
-          val last  = types.size - 1
-          var i     = 0
+          var i = 0
           while (i < starts.size) {
             val s = starts(i)
             if (s.time < e.time) {
@@ -94,19 +104,18 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
               val delta = s.counts(j - 1)
               if (delta > 0) {
                 pendingIncs ::= PendingInc(s, j, delta)
-                if (j == last) comps ::= ((s, delta))
+                if (j == last) completed += s
               }
             }
             i += 1
           }
-          (None, comps)
       }
 
-    /** Phase 2: make the tie-batch's effects visible. */
+    def clearEvent(): Unit = { started = null; completed.clear() }
+
+    /** Phase 2: make the tie-batch's increments visible. */
     def commit(): Unit = {
-      pendingStarts.foreach(starts += _)
-      pendingStarts = Nil
-      pendingIncs.foreach(p => p.s.counts(p.level) += p.delta)
+      pendingIncs.foreach(p => p.s.counts(p.level) = Math.addExact(p.s.counts(p.level), p.delta))
       pendingIncs = Nil
     }
 
@@ -127,63 +136,73 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   /** Count-combination state of one query (§3.3). Level `j` corresponds
     * to the combined pattern `C_j = S_1..S_j`; `comb(j)` maps the overall
     * START `a` (a START of `S_1`) to the number of completed `C_{j+1}`
-    * matches.
+    * matches. Only levels `1..k-2` are kept here: level 0 is `S_1`'s own
+    * count per START, and level `k-1` only feeds window results.
     */
   final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
     private val k = segs.size
     private val comb: Array[mutable.AnyRefMap[StartState, Long]] =
       Array.fill(k)(mutable.AnyRefMap.empty)
-    // snaps(j): segment-j START c -> snapshot of comb(j-1) taken at c.
+    // snaps(j): segment-j START c -> snapshot of level j-1 taken at c.
     private val snaps: Array[mutable.AnyRefMap[StartState, Snap]] =
       Array.fill(k)(mutable.AnyRefMap.empty)
     private var pendingComb = List.empty[(Int, StartState, Long)]
     val results = mutable.LongMap.empty[Long] // windowStart -> count
 
-    /** Phase 1 for one event of the tie-batch. `segResults(segIdx(j))` is
-      * segment `j`'s observe() result for this event (null when the
-      * segment did not react).
+    /** Calls `f(a, n)` for every overall START `a` earlier than `t` whose
+      * combined count `n` at level `j` is positive.
       */
-    def observe(e: Event,
-                segResults: Array[(Option[StartState], List[(StartState, Long)])],
-                segIdx: Vector[Int]): Unit = {
-      def perSeg(j: Int): (Option[StartState], List[(StartState, Long)]) = {
-        val r = segResults(segIdx(j))
-        if (r == null) (None, Nil) else r
+    private def foreachCombined(j: Int, t: Long)(f: (StartState, Long) => Unit): Unit =
+      if (j == 0) {
+        val first = segs(0)
+        val last  = first.types.size - 1
+        first.starts.foreach { a =>
+          val n = a.counts(last)
+          if (a.time < t && n > 0) f(a, n)
+        }
+      } else comb(j).foreachEntry { (a, n) => if (n > 0) f(a, n) }
+
+    private def addResult(ws: Long, sum: Long): Unit =
+      if (sum != 0) {
+        if (!results.contains(ws)) metrics.addState(1)
+        results(ws) = Math.addExact(results.getOrElse(ws, 0L), sum)
       }
+
+    /** Phase 1 for one event of the tie-batch, after every segment that
+      * reacts to it has observed it.
+      */
+    def observe(e: Event): Unit = {
       // 1. Snapshots at new STARTs of segments j >= 1 (Fig 7: "when c3
-      //    arrives, count(A,B) = 1"). The *final* level stores the
-      //    snapshot as a time-sorted cumulative array so completions can
-      //    answer "combined count of STARTs >= window start" with one
-      //    binary search instead of iterating every START — this is what
-      //    keeps single-sided sharing quadratic (the literal Eq 5:
-      //    the triple product only arises between two combination
-      //    levels, i.e. with both a prefix and a suffix).
+      //    arrives, count(A,B) = 1"). The final level buckets the
+      //    snapshot by slide index (WinSnap), so a completion reads one
+      //    cell per window instead of iterating every overall START.
       var j = 1
       while (j < k) {
-        perSeg(j)._1.foreach { c =>
+        val c = segs(j).started
+        if (c != null) {
           if (j == k - 1) {
             val wss     = win.windowsOf(c.time)
             val firstWs = wss.head
             val buckets = new Array[Long](wss.size)
             var touched = 0
-            comb(j - 1).foreachEntry { (a, n) =>
-              if (n > 0 && a.time >= firstWs) {
+            foreachCombined(j - 1, c.time) { (a, n) =>
+              if (a.time >= firstWs) {
                 touched += 1
                 // `a` covers every window start <= a.time in range.
                 val pos = math.min(buckets.length - 1,
                   ((a.time - firstWs) / win.slideSec).toInt)
-                buckets(pos) += n
+                buckets(pos) = Math.addExact(buckets(pos), n)
               }
             }
             // suffix-sum: sums(i) = Σ_{p >= i} buckets(p)
             var i = buckets.length - 2
-            while (i >= 0) { buckets(i) += buckets(i + 1); i -= 1 }
+            while (i >= 0) { buckets(i) = Math.addExact(buckets(i), buckets(i + 1)); i -= 1 }
             metrics.combMults += math.max(1, touched + buckets.length)
             metrics.addState(buckets.length.toLong + 1)
             snaps(j)(c) = WinSnap(firstWs, buckets)
           } else {
             val snap = mutable.AnyRefMap.empty[StartState, Long]
-            comb(j - 1).foreachEntry { (a, n) => if (n > 0) snap(a) = n }
+            foreachCombined(j - 1, c.time)((a, n) => snap(a) = n)
             metrics.combMults += math.max(1, snap.size)
             metrics.addState(snap.size.toLong + 1)
             snaps(j)(c) = MapSnap(snap)
@@ -191,66 +210,53 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
         }
         j += 1
       }
-      // 2. Completions. Level 0 feeds comb(0) directly; level j >= 1
-      //    multiplies against the snapshot taken at its START.
-      // comb(k-1) is never read (the last level only feeds window
-      // results), so it is not materialized.
-      val windowDeltas = mutable.AnyRefMap.empty[StartState, Long]
-      perSeg(0)._2.foreach { case (a, delta) =>
-        if (k > 1) pendingComb ::= ((0, a, delta))
-        else windowDeltas(a) = windowDeltas.getOrElse(a, 0L) + delta
+      // 2. Completions. A single-segment query's END updates every window
+      //    it falls into (§3.2), filtered to STARTs inside the window; its
+      //    completions come from distinct STARTs. Level j >= 1 multiplies
+      //    against the snapshot taken at its START.
+      if (k == 1) {
+        val seg = segs(0)
+        if (seg.completed.nonEmpty) win.windowsOf(e.time).foreach { ws =>
+          // Same work unit as the shared path's per-(START, window)
+          // combination lookups — metered so Non-Shared and Shared costs
+          // are comparable.
+          metrics.combMults += seg.completed.size
+          var sum = 0L
+          seg.completed.foreach { a =>
+            if (a.time >= ws) sum = Math.addExact(sum, seg.completionDelta(a))
+          }
+          addResult(ws, sum)
+        }
       }
       j = 1
       while (j < k) {
-        perSeg(j)._2.foreach { case (c, delta) =>
+        val seg = segs(j)
+        seg.completed.foreach { c =>
+          val delta = seg.completionDelta(c)
           snaps(j).get(c) match {
             case Some(MapSnap(snap)) => // intermediate level
               snap.foreachEntry { (a, pref) =>
                 metrics.combMults += 1
-                pendingComb ::= ((j, a, pref * delta))
+                pendingComb ::= ((j, a, Math.multiplyExact(pref, delta)))
               }
             case Some(WinSnap(firstWs, sums)) => // final level
               win.windowsOf(e.time).foreach { ws =>
                 metrics.combMults += 1
                 val idx = (ws - firstWs) / win.slideSec
-                if (idx >= 0 && idx < sums.length) {
-                  val sum = sums(idx.toInt) * delta
-                  if (sum != 0) {
-                    if (!results.contains(ws)) metrics.addState(1)
-                    results(ws) = results.getOrElse(ws, 0L) + sum
-                  }
-                }
+                if (idx >= 0 && idx < sums.length)
+                  addResult(ws, Math.multiplyExact(sums(idx.toInt), delta))
               }
             case None => ()
           }
         }
         j += 1
       }
-      // 3. Window result updates at the query's END event (§3.2: "when an
-      //    END event arrives, it updates the final counts for all windows
-      //    it falls into"), filtered to STARTs inside the window. Only
-      //    single-segment queries take this path; multi-segment queries
-      //    update results through the final-level CumSnap above.
-      if (windowDeltas.nonEmpty) {
-        win.windowsOf(e.time).foreach { ws =>
-          var sum = 0L
-          // Same work unit as the shared path's per-(START, window)
-          // combination lookups — metered so Non-Shared and Shared costs
-          // are comparable.
-          metrics.combMults += windowDeltas.size
-          windowDeltas.foreachEntry { (a, d) => if (a.time >= ws) sum += d }
-          if (sum != 0) {
-            if (!results.contains(ws)) metrics.addState(1)
-            results(ws) = results.getOrElse(ws, 0L) + sum
-          }
-        }
-      }
     }
 
     def commit(): Unit = {
       pendingComb.foreach { case (j, a, inc) =>
         if (!comb(j).contains(a)) metrics.addState(1)
-        comb(j)(a) = comb(j).getOrElse(a, 0L) + inc
+        comb(j)(a) = Math.addExact(comb(j).getOrElse(a, 0L), inc)
       }
       pendingComb = Nil
     }
@@ -278,22 +284,15 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       segmentRuntimes.getOrElseUpdate(s.shareKey, new SegmentRuntime(s.types)))
     new QueryRuntime(cq, segs)
   }
-  private val segKeys = segmentRuntimes.keys.toVector
-  private val segArr  = segKeys.map(segmentRuntimes).toArray
-  // Per query: index of each of its segments into segKeys.
-  private val querySegIdx: Vector[Vector[Int]] = cw.queries.map(
-    _.segments.map(s => segKeys.indexOf(s.shareKey)))
+  private val segArr = segmentRuntimes.values.toArray
   // Dispatch indexes: which segments / queries react to an event type.
-  private val typeToSegs: Map[Int, Array[Int]] =
-    segArr.zipWithIndex
-      .flatMap { case (s, i) => s.types.map(_ -> i) }
-      .groupBy(_._1).view.mapValues(_.map(_._2).distinct.sorted).toMap
-  private val typeToQueries: Map[Int, Array[Int]] =
-    cw.queries.indices
-      .flatMap(qi => cw.queries(qi).segments.flatMap(_.types).distinct.map(_ -> qi))
-      .groupBy(_._1).view.mapValues(_.map(_._2).distinct.sorted.toArray).toMap
-  private val segResults =
-    new Array[(Option[StartState], List[(StartState, Long)])](segArr.length)
+  private val typeToSegs: Map[Int, Array[SegmentRuntime]] =
+    segArr.flatMap(s => s.types.map(_ -> s))
+      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+  private val typeToQueries: Map[Int, Array[QueryRuntime]] =
+    queryRuntimes.toArray
+      .flatMap(qr => qr.segs.flatMap(_.types).map(_ -> qr))
+      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
 
   private var nextExpire = Long.MinValue
 
@@ -306,16 +305,14 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       val segs = typeToSegs.getOrElse(e.etype, null)
       if (segs != null) {
         var i = 0
-        while (i < segs.length) { segResults(segs(i)) = segArr(segs(i)).observe(e); i += 1 }
-        // Phase 1b: per-query combination against pre-batch combiner
-        // state; only queries whose pattern contains the type react.
+        while (i < segs.length) { segs(i).observe(e); i += 1 }
+        // Phase 1b: per-query combination against pre-batch state; only
+        // queries whose pattern contains the type react.
         val qs = typeToQueries(e.etype)
         i = 0
-        while (i < qs.length) {
-          queryRuntimes(qs(i)).observe(e, segResults, querySegIdx(qs(i))); i += 1
-        }
+        while (i < qs.length) { qs(i).observe(e); i += 1 }
         i = 0
-        while (i < segs.length) { segResults(segs(i)) = null; i += 1 }
+        while (i < segs.length) { segs(i).clearEvent(); i += 1 }
       }
       // NB: within a tie-batch each event's observe() reads only
       // pre-batch counts (commits below happen after the whole batch),
@@ -337,7 +334,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     if (e.time != lastTime && batch.nonEmpty) { processBatch(batch); batch = Nil }
     lastTime = e.time
     if (e.time >= nextExpire) {
-      segmentRuntimes.valuesIterator.foreach(_.expire(e.time))
+      segArr.foreach(_.expire(e.time))
       queryRuntimes.foreach(_.expire(e.time))
       nextExpire = e.time + win.slideSec
     }

@@ -38,6 +38,14 @@ object StructuredSharon {
     // Closed windows are per-key partial counts; sum across keys.
     val emittedAgg    = mutable.LinkedHashMap.empty[(Int, Long), Long]
     val emissionBatch = mutable.LinkedHashMap.empty[(Int, Long), Long]
+    def emit(watermark: Long, batchId: Long): Unit =
+      engines.values.foreach { eng =>
+        eng.emitClosed(watermark).foreach { r =>
+          val k = (r.queryId, r.windowStart)
+          emittedAgg(k) = emittedAgg.getOrElse(k, 0L) + r.count
+          emissionBatch.getOrElseUpdate(k, batchId)
+        }
+      }
 
     val source = MemoryStream[Event]
     val query = source.toDS().writeStream
@@ -47,16 +55,8 @@ object StructuredSharon {
         rows.foreach { e =>
           engines.getOrElseUpdate(e.key, new KeyGroupEngine(cw, metrics)).feed(e)
         }
-        if (rows.nonEmpty) {
-          val watermark = rows.map(_.time).max + 1 // strictly past all seen times
-          engines.values.foreach { eng =>
-            eng.emitClosed(watermark).foreach { r =>
-              val k = (r.queryId, r.windowStart)
-              emittedAgg(k) = emittedAgg.getOrElse(k, 0L) + r.count
-              emissionBatch.getOrElseUpdate(k, batchId)
-            }
-          }
-        }
+        // Watermark strictly past all seen times.
+        if (rows.nonEmpty) emit(rows.map(_.time).max + 1, batchId)
         ()
       }
       .start()
@@ -68,14 +68,7 @@ object StructuredSharon {
         query.processAllAvailable()
         batches += 1
       }
-      // Final flush: close every remaining window.
-      engines.values.foreach { eng =>
-        eng.emitClosed(Long.MaxValue).foreach { r =>
-          val k = (r.queryId, r.windowStart)
-          emittedAgg(k) = emittedAgg.getOrElse(k, 0L) + r.count
-          emissionBatch.getOrElseUpdate(k, batches)
-        }
-      }
+      emit(Long.MaxValue, batches) // final flush: close every remaining window
     } finally query.stop()
 
     StreamRunResult(

@@ -65,7 +65,6 @@ class EngineSpec extends AnyFunSuite {
   test("Fig 7 intermediate: after d5 the combined count is 1") {
     val win = WindowSpec(100, 100)
     val w   = workloadOf(win, Pattern("A", "B", "C", "D"))
-    val plan = Seq()
     val cw  = CompiledPlan.nonShared(w, ids)
     val m   = new EngineMetrics
     val eng = new KeyGroupEngine(cw, m)
@@ -101,15 +100,28 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("ties inside a shared combination step (C at same time as B)") {
-    val win = WindowSpec(100, 100)
-    val w   = workloadOf(win, Pattern("A", "B", "C"))
-    val plan = Seq(candidate(workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C")),
-      Pattern("B", "C"), Set(0, 1)))
-    // simpler: non-shared vs brute force on the tie stream
-    val cw = CompiledPlan.nonShared(w, ids)
+    val win  = WindowSpec(100, 100)
+    val w    = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"))
+    val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
+    val cw   = CompiledPlan.compile(w, plan, ids)
+    assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0), Vector(1, 2)))
     val events = Seq(ev(1, "A"), ev(2, "B"), ev(2, "C"), ev(3, "C"))
     val (res, _) = runEngine(cw, events)
     assert(res((0, 0L)) == 1) // (a1,b2,c3) only; c2 simultaneous with b2
+    assert(res((1, 0L)) == 1) // (b2,c3)
+  }
+
+  test("ties: a START simultaneous with a shared segment's START is not its prefix") {
+    val win  = WindowSpec(100, 100)
+    val w    = workloadOf(win, Pattern("A", "B", "C", "D"), Pattern("B", "C"))
+    val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1)))
+    val cw   = CompiledPlan.compile(w, plan, ids)
+    assert(cw.queries(0).segments.map(_.types) ==
+      Vector(Vector(0), Vector(1, 2), Vector(3)))
+    val events = Seq(ev(1, "A"), ev(2, "A"), ev(2, "B"), ev(3, "C"), ev(4, "D"))
+    val (res, _) = runEngine(cw, events)
+    assert(res((0, 0L)) == 1) // (a1,b2,c3,d4) only; a2 simultaneous with b2
+    assert(res((1, 0L)) == 1)
   }
 
   test("single-type gap segments behave like A-Seq levels") {
@@ -152,7 +164,7 @@ class EngineSpec extends AnyFunSuite {
 
   test("events of foreign types are ignored") {
     val cw = CompiledPlan.nonShared(workloadOf(WindowSpec(10, 10), Pattern("A", "B")), ids)
-    val (res, m) = runEngine(cw, Seq(ev(1, "A"), ev(2, "D"), ev(3, "C"), ev(4, "B")))
+    val (res, _) = runEngine(cw, Seq(ev(1, "A"), ev(2, "D"), ev(3, "C"), ev(4, "B")))
     assert(res((0, 0L)) == 1)
   }
 
@@ -185,6 +197,30 @@ class EngineSpec extends AnyFunSuite {
     assert(m.events == 2)
   }
 
+  /** (countUpdates, combMults, peakStateUnits), merged over key groups. */
+  private def meters(cw: CompiledWorkload, events: Seq[Event]): (Long, Long, Long) = {
+    val m = new EngineMetrics
+    events.groupBy(_.key).values.foreach(evs => m.merge(runEngine(cw, evs)._2))
+    (m.countUpdates, m.combMults, m.peakStateUnits)
+  }
+
+  test("metrics: work and peak state are pinned on fixed streams") {
+    val fig7 = Seq(ev(1, "A"), ev(2, "B"), ev(3, "A"), ev(3, "C"),
+      ev(4, "B"), ev(5, "B"), ev(5, "D"), ev(7, "C"), ev(8, "D"))
+    val w7 = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C", "D"), Pattern("A", "B"))
+    val shared7 = CompiledPlan.compile(w7, Seq(candidate(w7, Pattern("A", "B"), Set(0, 1))), ids)
+    assert(meters(shared7, fig7) == ((12L, 13L, 14L)))
+    assert(meters(CompiledPlan.nonShared(w7, ids), fig7) == ((21L, 8L, 14L)))
+    // Seed 0 of the two property tests below.
+    val w1 = workloadOf(WindowSpec(12, 4), Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
+    assert(meters(CompiledPlan.nonShared(w1, ids), randomEvents(0L, 40, 30, 4, 2)) ==
+      ((114L, 151L, 73L)))
+    val w2 = workloadOf(WindowSpec(12, 4),
+      Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+    val shared2 = CompiledPlan.compile(w2, Seq(candidate(w2, Pattern("B", "C"), Set(0, 1, 2))), ids)
+    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((62L, 222L, 141L)))
+  }
+
   test("expiration prunes state on long streams (streaming emission)") {
     val win = WindowSpec(4, 1)
     val cw  = CompiledPlan.nonShared(workloadOf(win, Pattern("A", "B")), ids)
@@ -200,6 +236,31 @@ class EngineSpec extends AnyFunSuite {
     // window horizon, independent of stream length (§3.2).
     assert(m.peakStateUnits < 100)
     assert(emitted > 0)
+  }
+
+  // One length-10 pattern T0..T9 with `n` events of type Ti at time i,
+  // all in one window: the true count is n^10.
+  private val tenTypes = (0 until 10).map(i => s"T$i").toVector
+  private val tenIds   = tenTypes.zipWithIndex.toMap
+  private val tenWl    = Workload(WindowSpec(100, 100),
+    Seq(Pattern(tenTypes), Pattern(tenTypes.slice(3, 6))))
+  private val tenPlans = Seq(
+    "no sharing" -> CompiledPlan.nonShared(tenWl, tenIds),
+    "sharing T3..T5" -> CompiledPlan.compile(tenWl,
+      Seq(candidate(tenWl, Pattern(tenTypes.slice(3, 6)), Set(0, 1))), tenIds))
+  private def tenEvents(n: Int): Seq[Event] =
+    for (t <- 0 until 10; _ <- 0 until n) yield Event(0L, t.toLong, t)
+
+  test("overflow: a count above Long.MaxValue throws instead of wrapping") {
+    assert(tenPlans(1)._2.queries(0).segments.size == 3)
+    for ((name, cw) <- tenPlans) withClue(name) {
+      assertThrows[ArithmeticException](runEngine(cw, tenEvents(100))) // 10^20
+    }
+  }
+
+  test("overflow: a count just below Long.MaxValue stays exact") {
+    for ((name, cw) <- tenPlans)
+      assert(runEngine(cw, tenEvents(75))._1((0, 0L)) == 5631351470947265625L, name) // 75^10
   }
 
   test("property: A-Seq engine equals brute force on random streams") {
