@@ -90,17 +90,20 @@ object Model {
       s"invalid window $this")
 
     /** Start times of all windows containing time point `t`. */
-    def windowsOf(t: Long): Seq[Long] = {
-      val last  = math.floorDiv(t, slideSec)
-      val first = math.max(0L, math.floorDiv(t - lengthSec, slideSec) + 1)
-      (first to last).map(_ * slideSec)
-    }
+    def windowsOf(t: Long): Seq[Long] =
+      (firstWindowStart(t) / slideSec to math.floorDiv(t, slideSec)).map(_ * slideSec)
+
+    /** Start of the first window containing time point `t >= 0`. */
+    def firstWindowStart(t: Long): Long =
+      math.max(0L, math.floorDiv(t - lengthSec, slideSec) + 1) * slideSec
+
+    /** Start of the last window containing time point `t >= 0`. */
+    def lastWindowStart(t: Long): Long = math.floorDiv(t, slideSec) * slideSec
 
     /** End (exclusive) of the last window containing `t` — an event is
       * expired once current time reaches this (Fig 6(b), §3.2).
       */
-    def lastWindowEnd(t: Long): Long =
-      math.floorDiv(t, slideSec) * slideSec + lengthSec
+    def lastWindowEnd(t: Long): Long = lastWindowStart(t) + lengthSec
   }
 
   /** An event sequence aggregation query (Definition 2), restricted to

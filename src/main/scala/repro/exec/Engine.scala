@@ -3,6 +3,7 @@ package repro.exec
 import scala.collection.mutable
 import repro.core.Model.WindowSpec
 import CompiledPlan._
+import KeyGroupEngine._
 
 /** The Sharon runtime engine for one key group (paper §3) — shared online
   * event sequence aggregation without sequence construction.
@@ -21,10 +22,14 @@ import CompiledPlan._
   * count of `S_1` alone is `S_1`'s own full-segment count per START.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
-  * (Definition 1), so events sharing a timestamp are evaluated against
-  * the state as of strictly-earlier times — reads happen for the whole
-  * tie-batch first, count increments are committed afterwards, and every
-  * reader skips STARTs not strictly earlier than the event it evaluates.
+  * (Definition 1), so events sharing a timestamp must not see each other's
+  * updates. An arriving event is only recorded, as a new START or as a
+  * pending level. When time advances (or at [[results]]/[[emitClosed]])
+  * the timestamp's phases run, each reading state its timestamp has not
+  * written yet: (1) queries snapshot at the new STARTs from earlier STARTs;
+  * (2) segments advance their earlier STARTs, highest level first, record
+  * the completions, and admit the new STARTs; (3) queries combine the
+  * completions; (4) the per-timestamp state is cleared.
   *
   * Counts are exact: an update that would overflow a `Long` throws
   * `ArithmeticException` instead of wrapping around.
@@ -32,104 +37,71 @@ import CompiledPlan._
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
 
-  /** Per-START-event state of one segment: `counts(j)` = number of
-    * matches of the segment's first `j+1` types starting at this START
-    * (`counts(0)` is identically 1 — the START itself).
-    */
-  final class StartState(val time: Long, nLevels: Int) {
-    val counts = new Array[Long](nLevels)
-    counts(0) = 1L
-  }
-
-  private final case class PendingInc(s: StartState, level: Int, delta: Long)
-
-  /** Combination snapshot taken when a segment START arrives (§3.3).
-    * Intermediate levels keep per-START values; the final level only
-    * needs, per window the START can fall into, the sum of combined
-    * counts of overall STARTs inside that window — `w/slide` numbers per
-    * START instead of one per overall START. This is what keeps
-    * single-sided sharing's cost and memory quadratic-free at the final
-    * level (the literal Eq 5: the triple product arises only between two
-    * combination levels, i.e. when both a prefix and a suffix exist).
-    */
-  private sealed trait Snap { def stateUnits: Long }
-  private final case class MapSnap(m: mutable.AnyRefMap[StartState, Long]) extends Snap {
-    def stateUnits: Long = m.size.toLong + 1
-  }
-  /** `sums(i)` = Σ counts of overall STARTs `a` with
-    * `a.time >= firstWs + i*slide`, for the windows containing the
-    * segment START this snapshot belongs to.
-    */
-  private final case class WinSnap(firstWs: Long, sums: Array[Long]) extends Snap {
-    def stateUnits: Long = sums.length.toLong + 1
-  }
-
   /** A-Seq state for one segment pattern (§3.2); shared across queries
     * when the plan says so (one instance per distinct shareKey).
     */
   final class SegmentRuntime(val types: Vector[Int]) {
-    private val levelOf: Map[Int, Int] = types.zipWithIndex.toMap
     private val last = types.size - 1
-    val starts = mutable.ArrayBuffer.empty[StartState]
-    private var pendingIncs = List.empty[PendingInc]
-    /** The current event's new START (null if none) and the STARTs whose
-      * full-segment matches it completes; cleared once the event's
-      * queries have run.
-      */
-    var started: StartState = null
-    val completed = mutable.ArrayBuffer.empty[StartState]
+    val starts  = mutable.ArrayBuffer.empty[StartState]          // live STARTs, time-ordered
+    val readers = mutable.ArrayBuffer.empty[(QueryRuntime, Int)] // (query, position in it)
+    // Per timestamp: new STARTs (joining `starts` in phase 2), events per
+    // level j >= 1, and completing STARTs, once per completing event.
+    val started      = mutable.ArrayBuffer.empty[StartState]
+    private val hits = new Array[Int](types.size)
+    val completed    = mutable.ArrayBuffer.empty[StartState]
+    private var idle = true
 
-    /** Full-segment matches from `s` completed by the current event: its
-      * pre-batch count one level down (increments commit after the batch).
-      */
-    def completionDelta(s: StartState): Long = if (last == 0) 1L else s.counts(last - 1)
+    def arrive(time: Long, level: Int): Unit = {
+      if (idle) { idle = false; busy += this }
+      if (level == 0) started += new StartState(time, types.size) else hits(level) += 1
+    }
 
-    /** Phase 1: evaluate `e` against pre-batch state. */
-    def observe(e: Event): Unit =
-      levelOf.get(e.etype) match {
-        case None => ()
-        case Some(0) =>
-          started = new StartState(e.time, types.size)
-          starts += started
-          metrics.countUpdates += 1
-          metrics.addState(types.size.toLong)
-          // A single-type segment completes at its own START event.
-          if (last == 0) completed += started
-        case Some(j) =>
+    /** Phase 2: each level-`j` event adds every earlier START's count one
+      * level down. Levels go highest first, so each reads the count as of
+      * the previous timestamp.
+      */
+    def advance(): Unit = {
+      var j = last
+      while (j > 0) {
+        val h = hits(j)
+        if (h > 0) {
+          metrics.countUpdates += h.toLong * starts.size
           var i = 0
           while (i < starts.size) {
-            val s = starts(i)
-            if (s.time < e.time) {
-              metrics.countUpdates += 1
-              val delta = s.counts(j - 1)
-              if (delta > 0) {
-                pendingIncs ::= PendingInc(s, j, delta)
-                if (j == last) completed += s
+            val s     = starts(i)
+            val delta = s.counts(j - 1)
+            if (delta > 0) {
+              s.counts(j) = Math.addExact(s.counts(j), Math.multiplyExact(h.toLong, delta))
+              if (j == last) {
+                s.delta = delta
+                var m = 0; while (m < h) { completed += s; m += 1 }
               }
             }
             i += 1
           }
+        }
+        j -= 1
       }
+      // A single-type segment completes at its own START event.
+      if (last == 0) { started.foreach(_.delta = 1L); completed ++= started }
+      metrics.countUpdates += started.size
+      metrics.addState(started.size.toLong * types.size)
+      starts ++= started
+    }
 
-    def clearEvent(): Unit = { started = null; completed.clear() }
-
-    /** Phase 2: make the tie-batch's increments visible. */
-    def commit(): Unit = {
-      pendingIncs.foreach(p => p.s.counts(p.level) = Math.addExact(p.s.counts(p.level), p.delta))
-      pendingIncs = Nil
+    def clear(): Unit = {
+      started.clear(); java.util.Arrays.fill(hits, 0); completed.clear(); idle = true
     }
 
     /** Drop STARTs whose last containing window has closed (§3.2). Safe:
-      * the window filter at result time already excludes them.
+      * the window filter at result time already excludes them. STARTs are
+      * time-ordered, so the expired ones form a prefix.
       */
     def expire(now: Long): Unit = {
-      var i = 0
-      while (i < starts.size) {
-        if (win.lastWindowEnd(starts(i).time) <= now) {
-          metrics.removeState(types.size.toLong)
-          starts.remove(i)
-        } else i += 1
-      }
+      var n = 0
+      while (n < starts.size && win.lastWindowEnd(starts(n).time) <= now) n += 1
+      metrics.removeState(n.toLong * types.size)
+      starts.remove(0, n)
     }
   }
 
@@ -146,19 +118,18 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     // snaps(j): segment-j START c -> snapshot of level j-1 taken at c.
     private val snaps: Array[mutable.AnyRefMap[StartState, Snap]] =
       Array.fill(k)(mutable.AnyRefMap.empty)
-    private var pendingComb = List.empty[(Int, StartState, Long)]
     val results = mutable.LongMap.empty[Long] // windowStart -> count
 
-    /** Calls `f(a, n)` for every overall START `a` earlier than `t` whose
-      * combined count `n` at level `j` is positive.
+    /** Calls `f(a, n)` for every overall START `a` whose combined count `n`
+      * at level `j` is positive. Level 0 holds earlier STARTs only.
       */
-    private def foreachCombined(j: Int, t: Long)(f: (StartState, Long) => Unit): Unit =
+    private def foreachCombined(j: Int)(f: (StartState, Long) => Unit): Unit =
       if (j == 0) {
         val first = segs(0)
         val last  = first.types.size - 1
         first.starts.foreach { a =>
           val n = a.counts(last)
-          if (a.time < t && n > 0) f(a, n)
+          if (n > 0) f(a, n)
         }
       } else comb(j).foreachEntry { (a, n) => if (n > 0) f(a, n) }
 
@@ -168,97 +139,85 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
         results(ws) = Math.addExact(results.getOrElse(ws, 0L), sum)
       }
 
-    /** Phase 1 for one event of the tie-batch, after every segment that
-      * reacts to it has observed it.
+    /** Phase 1: snapshot level `j-1` at every new START of segment `j >= 1`
+      * (Fig 7: "when c3 arrives, count(A,B) = 1"). The final level buckets
+      * the snapshot by slide index (WinSnap), so a completion reads one
+      * cell per window instead of iterating every overall START.
       */
-    def observe(e: Event): Unit = {
-      // 1. Snapshots at new STARTs of segments j >= 1 (Fig 7: "when c3
-      //    arrives, count(A,B) = 1"). The final level buckets the
-      //    snapshot by slide index (WinSnap), so a completion reads one
-      //    cell per window instead of iterating every overall START.
-      var j = 1
-      while (j < k) {
-        val c = segs(j).started
-        if (c != null) {
-          if (j == k - 1) {
-            val wss     = win.windowsOf(c.time)
-            val firstWs = wss.head
-            val buckets = new Array[Long](wss.size)
-            var touched = 0
-            foreachCombined(j - 1, c.time) { (a, n) =>
-              if (a.time >= firstWs) {
-                touched += 1
-                // `a` covers every window start <= a.time in range.
-                val pos = math.min(buckets.length - 1,
-                  ((a.time - firstWs) / win.slideSec).toInt)
-                buckets(pos) = Math.addExact(buckets(pos), n)
-              }
-            }
-            // suffix-sum: sums(i) = Σ_{p >= i} buckets(p)
-            var i = buckets.length - 2
-            while (i >= 0) { buckets(i) = Math.addExact(buckets(i), buckets(i + 1)); i -= 1 }
-            metrics.combMults += math.max(1, touched + buckets.length)
-            metrics.addState(buckets.length.toLong + 1)
-            snaps(j)(c) = WinSnap(firstWs, buckets)
-          } else {
-            val snap = mutable.AnyRefMap.empty[StartState, Long]
-            foreachCombined(j - 1, c.time)((a, n) => snap(a) = n)
-            metrics.combMults += math.max(1, snap.size)
-            metrics.addState(snap.size.toLong + 1)
-            snaps(j)(c) = MapSnap(snap)
+    def snapshot(j: Int): Unit = segs(j).started.foreach { c =>
+      if (j == k - 1) {
+        val buckets = new Array[Long](((winLast - winFirst) / win.slideSec).toInt + 1)
+        var touched = 0
+        foreachCombined(j - 1) { (a, n) =>
+          if (a.time >= winFirst) {
+            touched += 1
+            // `a` covers every window start <= a.time in range.
+            val pos = math.min(buckets.length - 1,
+              ((a.time - winFirst) / win.slideSec).toInt)
+            buckets(pos) = Math.addExact(buckets(pos), n)
           }
         }
-        j += 1
-      }
-      // 2. Completions. A single-segment query's END updates every window
-      //    it falls into (§3.2), filtered to STARTs inside the window; its
-      //    completions come from distinct STARTs. Level j >= 1 multiplies
-      //    against the snapshot taken at its START.
-      if (k == 1) {
-        val seg = segs(0)
-        if (seg.completed.nonEmpty) win.windowsOf(e.time).foreach { ws =>
-          // Same work unit as the shared path's per-(START, window)
-          // combination lookups — metered so Non-Shared and Shared costs
-          // are comparable.
-          metrics.combMults += seg.completed.size
-          var sum = 0L
-          seg.completed.foreach { a =>
-            if (a.time >= ws) sum = Math.addExact(sum, seg.completionDelta(a))
-          }
-          addResult(ws, sum)
-        }
-      }
-      j = 1
-      while (j < k) {
-        val seg = segs(j)
-        seg.completed.foreach { c =>
-          val delta = seg.completionDelta(c)
-          snaps(j).get(c) match {
-            case Some(MapSnap(snap)) => // intermediate level
-              snap.foreachEntry { (a, pref) =>
-                metrics.combMults += 1
-                pendingComb ::= ((j, a, Math.multiplyExact(pref, delta)))
-              }
-            case Some(WinSnap(firstWs, sums)) => // final level
-              win.windowsOf(e.time).foreach { ws =>
-                metrics.combMults += 1
-                val idx = (ws - firstWs) / win.slideSec
-                if (idx >= 0 && idx < sums.length)
-                  addResult(ws, Math.multiplyExact(sums(idx.toInt), delta))
-              }
-            case None => ()
-          }
-        }
-        j += 1
+        // suffix-sum: sums(i) = Σ_{p >= i} buckets(p)
+        var i = buckets.length - 2
+        while (i >= 0) { buckets(i) = Math.addExact(buckets(i), buckets(i + 1)); i -= 1 }
+        metrics.combMults += math.max(1, touched + buckets.length)
+        metrics.addState(buckets.length.toLong + 1)
+        snaps(j)(c) = WinSnap(winFirst, buckets)
+      } else {
+        val snap = mutable.AnyRefMap.empty[StartState, Long]
+        foreachCombined(j - 1)((a, n) => snap(a) = n)
+        metrics.combMults += math.max(1, snap.size)
+        metrics.addState(snap.size.toLong + 1)
+        snaps(j)(c) = MapSnap(snap)
       }
     }
 
-    def commit(): Unit = {
-      pendingComb.foreach { case (j, a, inc) =>
-        if (!comb(j).contains(a)) metrics.addState(1)
-        comb(j)(a) = Math.addExact(comb(j).getOrElse(a, 0L), inc)
+    /** Phase 3: combine segment `j`'s completions. A single-segment query's
+      * END updates every window it falls into (§3.2), filtered to STARTs
+      * inside the window. Level `j >= 1` multiplies against the snapshot
+      * taken at its START.
+      */
+    def combine(j: Int): Unit = {
+      val seg = segs(j)
+      if (k == 1) {
+        val n  = seg.completed.size
+        var ws = winFirst
+        while (ws <= winLast) {
+          // Same work unit as the shared path's per-(START, window)
+          // combination lookups — metered so Non-Shared and Shared costs
+          // are comparable.
+          metrics.combMults += n
+          var sum = 0L
+          var i   = 0
+          while (i < n) {
+            val a = seg.completed(i)
+            if (a.time >= ws) sum = Math.addExact(sum, a.delta)
+            i += 1
+          }
+          addResult(ws, sum)
+          ws += win.slideSec
+        }
+      } else if (j > 0) seg.completed.foreach { c =>
+        snaps(j).getOrNull(c) match {
+          case MapSnap(snap) => // intermediate level
+            snap.foreachEntry { (a, pref) =>
+              metrics.combMults += 1
+              if (!comb(j).contains(a)) metrics.addState(1)
+              comb(j)(a) = Math.addExact(comb(j).getOrElse(a, 0L),
+                Math.multiplyExact(pref, c.delta))
+            }
+          case WinSnap(firstWs, sums) => // final level
+            var ws = winFirst
+            while (ws <= winLast) {
+              metrics.combMults += 1
+              val idx = (ws - firstWs) / win.slideSec
+              if (idx >= 0 && idx < sums.length)
+                addResult(ws, Math.multiplyExact(sums(idx.toInt), c.delta))
+              ws += win.slideSec
+            }
+          case _ => ()
+        }
       }
-      pendingComb = Nil
     }
 
     def expire(now: Long): Unit = {
@@ -282,69 +241,74 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val queryRuntimes: Vector[QueryRuntime] = cw.queries.map { cq =>
     val segs = cq.segments.map(s =>
       segmentRuntimes.getOrElseUpdate(s.shareKey, new SegmentRuntime(s.types)))
-    new QueryRuntime(cq, segs)
+    val qr = new QueryRuntime(cq, segs)
+    segs.zipWithIndex.foreach { case (s, j) => s.readers += ((qr, j)) }
+    qr
   }
   private val segArr = segmentRuntimes.values.toArray
-  // Dispatch indexes: which segments / queries react to an event type.
-  private val typeToSegs: Map[Int, Array[SegmentRuntime]] =
-    segArr.flatMap(s => s.types.map(_ -> s))
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
-  private val typeToQueries: Map[Int, Array[QueryRuntime]] =
-    queryRuntimes.toArray
-      .flatMap(qr => qr.segs.flatMap(_.types).map(_ -> qr))
-      .groupBy(_._1).view.mapValues(_.map(_._2)).toMap
+  // Dispatch by type id: the segments that react to a type, and its level in each.
+  private val typeToSegs: Array[Array[SegmentRuntime]] =
+    Array.tabulate(segArr.flatMap(_.types).maxOption.fold(0)(_ + 1))(t =>
+      segArr.filter(_.types.contains(t)))
+  private val typeToLevels: Array[Array[Int]] =
+    Array.tabulate(typeToSegs.length)(t => typeToSegs(t).map(_.types.indexOf(t)))
 
+  // The timestamp being fed; the starts of the windows containing it
+  // (winFirst, winFirst + slide, ..., winLast); whether results() or
+  // emitClosed() already ran its phases; the segments that saw its events.
+  private var now        = Long.MinValue
+  private var winFirst   = 0L
+  private var winLast    = 0L
+  private var flushed    = false
+  private val busy       = mutable.ArrayBuffer.empty[SegmentRuntime]
   private var nextExpire = Long.MinValue
 
-  private def processBatch(batch: List[Event]): Unit = {
-    val events = batch.reverse // restore arrival order (cosmetic; ties commute)
-    events.foreach { e =>
-      metrics.events += 1
-      // Phase 1a: each reacting segment runtime sees the event once —
-      // this is the sharing: shared patterns are aggregated once (§3.3).
-      val segs = typeToSegs.getOrElse(e.etype, null)
-      if (segs != null) {
-        var i = 0
-        while (i < segs.length) { segs(i).observe(e); i += 1 }
-        // Phase 1b: per-query combination against pre-batch state; only
-        // queries whose pattern contains the type react.
-        val qs = typeToQueries(e.etype)
-        i = 0
-        while (i < qs.length) { qs(i).observe(e); i += 1 }
-        i = 0
-        while (i < segs.length) { segs(i).clearEvent(); i += 1 }
-      }
-      // NB: within a tie-batch each event's observe() reads only
-      // pre-batch counts (commits below happen after the whole batch),
-      // preserving the strict e_i.time < e_j.time sequence semantics.
+  /** Runs the phases of timestamp `now` (see the class doc). */
+  private def endTimestamp(): Unit =
+    if (busy.nonEmpty) {
+      winFirst = win.firstWindowStart(now)
+      winLast  = win.lastWindowStart(now)
+      busy.foreach(s =>
+        if (s.started.nonEmpty) s.readers.foreach { case (qr, j) => if (j > 0) qr.snapshot(j) })
+      busy.foreach(_.advance())
+      busy.foreach(s =>
+        if (s.completed.nonEmpty) s.readers.foreach { case (qr, j) => qr.combine(j) })
+      busy.foreach(_.clear())
+      busy.clear()
     }
-    segArr.foreach(_.commit())
-    queryRuntimes.foreach(_.commit())
-  }
 
-  private var batch = List.empty[Event]
-  private var lastTime = Long.MinValue
-
-  /** Feeds one event; events must arrive in non-decreasing time order.
-    * Same-timestamp events are buffered into a tie-batch that is flushed
-    * when time advances (or at [[results]]/[[emitClosed]]).
+  /** Feeds one event. Times must be non-negative and non-decreasing, and
+    * an event may not share the timestamp of a [[results]] or
+    * [[emitClosed]] call before it.
     */
   def feed(e: Event): Unit = {
-    require(e.time >= lastTime, "events must arrive in time order")
-    if (e.time != lastTime && batch.nonEmpty) { processBatch(batch); batch = Nil }
-    lastTime = e.time
-    if (e.time >= nextExpire) {
-      segArr.foreach(_.expire(e.time))
-      queryRuntimes.foreach(_.expire(e.time))
-      nextExpire = e.time + win.slideSec
+    require(e.time >= 0, s"negative timestamp in $e")
+    require(e.time > now || (e.time == now && !flushed),
+      s"events must arrive in time order, each timestamp before reading results: $e")
+    if (e.time > now) {
+      endTimestamp()
+      now     = e.time
+      flushed = false
+      if (now >= nextExpire) {
+        segArr.foreach(_.expire(now))
+        queryRuntimes.foreach(_.expire(now))
+        nextExpire = now + win.slideSec
+      }
     }
-    batch ::= e
+    metrics.events += 1
+    // Each reacting segment runtime sees the event once — this is the
+    // sharing: shared patterns are aggregated once (§3.3).
+    if (e.etype >= 0 && e.etype < typeToSegs.length) {
+      val segs   = typeToSegs(e.etype)
+      val levels = typeToLevels(e.etype)
+      var i = 0
+      while (i < segs.length) { segs(i).arrive(e.time, levels(i)); i += 1 }
+    }
   }
 
-  private def flush(): Unit =
-    if (batch.nonEmpty) { processBatch(batch); batch = Nil }
+  private def flush(): Unit = { endTimestamp(); flushed = true }
 
-  /** Current per-key window counts of every query (flushes pending ties). */
+  /** Current per-key window counts of every query (closes the current timestamp). */
   def results(): Iterator[QueryWindowCount] = {
     flush()
     for {
@@ -377,5 +341,40 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   def run(events: Iterator[Event]): Iterator[QueryWindowCount] = {
     events.foreach(feed)
     results()
+  }
+}
+
+object KeyGroupEngine {
+
+  /** Per-START-event state of one segment: `counts(j)` = number of
+    * matches of the segment's first `j+1` types starting at this START
+    * (`counts(0)` is identically 1 — the START itself).
+    */
+  final class StartState(val time: Long, nLevels: Int) {
+    val counts = new Array[Long](nLevels)
+    counts(0) = 1L
+    /** Matches each of this timestamp's completing events ends here (phases 2 → 3). */
+    var delta = 0L
+  }
+
+  /** Combination snapshot taken when a segment START arrives (§3.3).
+    * Intermediate levels keep per-START values; the final level only
+    * needs, per window the START can fall into, the sum of combined
+    * counts of overall STARTs inside that window — `w/slide` numbers per
+    * START instead of one per overall START. This is what keeps
+    * single-sided sharing's cost and memory quadratic-free at the final
+    * level (the literal Eq 5: the triple product arises only between two
+    * combination levels, i.e. when both a prefix and a suffix exist).
+    */
+  private sealed trait Snap { def stateUnits: Long }
+  private final case class MapSnap(m: mutable.AnyRefMap[StartState, Long]) extends Snap {
+    def stateUnits: Long = m.size.toLong + 1
+  }
+  /** `sums(i)` = Σ counts of overall STARTs `a` with
+    * `a.time >= firstWs + i*slide`, for the windows containing the
+    * segment START this snapshot belongs to.
+    */
+  private final case class WinSnap(firstWs: Long, sums: Array[Long]) extends Snap {
+    def stateUnits: Long = sums.length.toLong + 1
   }
 }

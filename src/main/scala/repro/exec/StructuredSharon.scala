@@ -35,14 +35,14 @@ object StructuredSharon {
 
     val metrics = new EngineMetrics
     val engines = mutable.LongMap.empty[KeyGroupEngine]
-    // Closed windows are per-key partial counts; sum across keys.
+    // Closed windows are per-key partial counts; sum across keys, exactly.
     val emittedAgg    = mutable.LinkedHashMap.empty[(Int, Long), Long]
     val emissionBatch = mutable.LinkedHashMap.empty[(Int, Long), Long]
     def emit(watermark: Long, batchId: Long): Unit =
       engines.values.foreach { eng =>
         eng.emitClosed(watermark).foreach { r =>
           val k = (r.queryId, r.windowStart)
-          emittedAgg(k) = emittedAgg.getOrElse(k, 0L) + r.count
+          emittedAgg(k) = Math.addExact(emittedAgg.getOrElse(k, 0L), r.count)
           emissionBatch.getOrElseUpdate(k, batchId)
         }
       }

@@ -10,21 +10,23 @@ import repro.exec.CompiledPlan._
   */
 object EngineFixtures {
 
-  /** Runs one key group through the engine; returns (queryId, windowStart)
-    * -> count plus the metrics.
+  /** Runs one key group through the engine, same-time events ordered by
+    * `tie`; returns (queryId, windowStart) -> count plus the metrics.
     */
-  def runEngine(cw: CompiledWorkload, events: Seq[Event]): (Map[(Int, Long), Long], EngineMetrics) = {
+  def runEngine(cw: CompiledWorkload, events: Seq[Event],
+                tie: Event => Int = _.etype): (Map[(Int, Long), Long], EngineMetrics) = {
     val m      = new EngineMetrics
     val engine = new KeyGroupEngine(cw, m)
-    val res = engine.run(events.sortBy(e => (e.time, e.etype)).iterator)
+    val res = engine.run(events.sortBy(e => (e.time, tie(e))).iterator)
       .map(r => (r.queryId, r.windowStart) -> r.count).toMap
     (res, m)
   }
 
   /** Multi-key variant: groups by key, sums per-key results. */
-  def runEngineMultiKey(cw: CompiledWorkload, events: Seq[Event]): Map[(Int, Long), Long] = {
+  def runEngineMultiKey(cw: CompiledWorkload, events: Seq[Event],
+                        tie: Event => Int = _.etype): Map[(Int, Long), Long] = {
     val perKey = events.groupBy(_.key).toSeq.map { case (_, evs) =>
-      runEngine(cw, evs)._1
+      runEngine(cw, evs, tie)._1
     }
     perKey.flatten.groupBy(_._1).view.mapValues(_.map(_._2).sum).toMap
       .filter(_._2 != 0)

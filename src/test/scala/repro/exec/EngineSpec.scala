@@ -289,12 +289,50 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("property: engine results independent of same-time arrival order") {
-    val win = WindowSpec(12, 4)
-    val w   = workloadOf(win, Pattern("A", "B", "C"))
-    val cw  = CompiledPlan.nonShared(w, ids)
-    val events = Seq(ev(1, "A"), ev(1, "B"), ev(2, "B"), ev(2, "C"), ev(2, "A"), ev(3, "C"))
-    val (r1, _) = runEngine(cw, events)
-    val (r2, _) = runEngine(cw, events.reverse.sortBy(_.time))
-    assert(r1 == r2)
+    val win     = WindowSpec(12, 4)
+    val wASeq   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
+    val wShared = workloadOf(win,
+      Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+    val shared  = CompiledPlan.compile(wShared,
+      Seq(candidate(wShared, Pattern("B", "C"), Set(0, 1, 2))), ids)
+    assert(shared.queries(2).segments.size == 3)
+    val cases = Seq(
+      ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids), 0L),
+      ("Sharon", wShared, shared, 1000L))
+    val orders = Seq[(String, Event => Int)](
+      "types ascending" -> (e => e.etype), "types descending" -> (e => -e.etype))
+    var mixedTies = 0
+    for ((name, w, cw, seedBase) <- cases; seed <- 0L until 30L) {
+      val events = randomEvents(seed + seedBase, 40, 30, 4, 2)
+      mixedTies += events.groupBy(e => (e.key, e.time)).count(_._2.map(_.etype).distinct.size > 1)
+      val brute = bruteWorkload(events, w, ids)
+      for ((order, tie) <- orders)
+        assert(runEngineMultiKey(cw, events, tie) == brute, s"$name seed=$seed, $order")
+    }
+    assert(mixedTies > 0) // the streams do hold same-time events of different types
+  }
+
+  test("negative timestamps are rejected") {
+    val w      = workloadOf(WindowSpec(10, 5), Pattern("A", "B", "C"), Pattern("B", "C"))
+    val events = Seq(ev(-3, "A"), ev(-2, "B"), ev(-1, "C"))
+    val shared = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), ids)
+    for (cw <- Seq(CompiledPlan.nonShared(w, ids), shared))
+      assertThrows[IllegalArgumentException](runEngine(cw, events))
+  }
+
+  test("an event sharing the timestamp of an earlier results() call is refused") {
+    val cw  = CompiledPlan.nonShared(workloadOf(WindowSpec(10, 10), Pattern("A", "B")), ids)
+    val eng = new KeyGroupEngine(cw, new EngineMetrics)
+    eng.feed(ev(1, "A"))
+    eng.results()
+    assertThrows[IllegalArgumentException](eng.feed(ev(1, "B")))
+    eng.feed(ev(2, "B"))
+    assert(eng.results().map(_.count).toList == List(1L))
+  }
+
+  test("events with type ids outside the dictionary are ignored") {
+    val cw = CompiledPlan.nonShared(workloadOf(WindowSpec(10, 10), Pattern("A", "B")), ids)
+    val (res, _) = runEngine(cw, Seq(ev(1, "A"), Event(0L, 2, 99), Event(0L, 3, -1), ev(4, "B")))
+    assert(res == Map((0, 0L) -> 1L))
   }
 }

@@ -65,4 +65,17 @@ class StructuredSharonSpec extends SparkSpec {
     assert(a.emitted.map(r => (r.queryId, r.windowStart) -> r.count).toMap ==
       b.emitted.map(r => (r.queryId, r.windowStart) -> r.count).toMap)
   }
+
+  test("overflow: a cross-key window sum above Long.MaxValue throws in both executors") {
+    // Two keys, each holding n = 75 events of type Ti at time i: each key
+    // counts 75^10 (fits a Long), their sum does not.
+    val types = (0 until 10).map(i => s"T$i").toVector
+    val ids   = types.zipWithIndex.toMap
+    val cw    = CompiledPlan.nonShared(Workload(WindowSpec(100, 100), Seq(Pattern(types))), ids)
+    val events = for (key <- 0L to 1L; t <- 0 until 10; _ <- 0 until 75) yield Event(key, t.toLong, t)
+    assert(EngineFixtures.runEngine(cw, events.filter(_.key == 0))._1((0, 0L)) == 5631351470947265625L)
+    assertThrows[ArithmeticException](StructuredSharon.run(spark, events, cw, batchSeconds = 5))
+    import spark.implicits._
+    assertThrows[ArithmeticException](OnlineExecutors.run(spark, events.toDS(), cw))
+  }
 }
