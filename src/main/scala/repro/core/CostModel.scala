@@ -37,14 +37,15 @@ object CostModel {
   /** Eq 5: count-combination cost
     * `Rate(E_1^i) × Rate(E_m) × Rate(E_{m+l+1}^i)`.
     *
-    * The triple product is the cost of combining across *two* levels
-    * (prefix × p × suffix): the middle level must keep per-(outer START,
-    * inner START) snapshots and touch every pair. When the prefix (resp.
-    * suffix) is empty there is a single, final combination level, whose
-    * snapshots the executor buckets by slide index (one lookup per window
-    * at each completion) — a quadratic cost, matching the literal Eq 5
-    * with the missing factor dropped. A query
-    * identical to `p` needs no combination at all.
+    * The model is the paper's. The executor keeps every combination level
+    * per pane (`time / slide`): a completion touches one cell per window
+    * at the final level, and one per pane of its START's windows at an
+    * intermediate level, i.e. O(length/slide), never one per prefix
+    * START. With both a prefix and a suffix there is an intermediate
+    * level, and the triple product overstates the executor's work. When
+    * the prefix (resp. suffix) is empty there is a single, final level —
+    * a quadratic cost, matching the literal Eq 5 with the missing factor
+    * dropped. A query identical to `p` needs no combination at all.
     */
   def comb(rates: Rates, p: Pattern, q: Query): Double = {
     val prefix = q.pattern.prefixOf(p)

@@ -13,13 +13,16 @@ import KeyGroupEngine._
   * non-expired START event; shared segments are evaluated once for all
   * subscribing queries. Each *query runtime* implements count combination
   * (§3.3, Fig 7): when segment `S_j`'s START event `c` arrives it
-  * snapshots the running combined count of `S_1..S_{j-1}` per overall
-  * START `a`; when sequences of `S_j` starting at `c` complete with
-  * increment `δ`, it adds `snap(a,c) × δ` to the combined count per `a`.
-  * The END event of the last segment updates the result of every window
-  * it falls into, restricted to STARTs `a` inside that window
-  * (Fig 6(b) expiration semantics). Each count is kept once: the combined
-  * count of `S_1` alone is `S_1`'s own full-segment count per START.
+  * snapshots the running combined count of `S_1..S_{j-1}`; when sequences
+  * of `S_j` starting at `c` complete with increment `δ`, it adds
+  * `snap(c) × δ` to the combined count of `S_1..S_j`. An overall START
+  * `a` (a START of `S_1`) matters only through its pane `a.time / slide`,
+  * which fixes the windows holding `a` and when it expires, so combined
+  * counts and snapshots are kept per pane, not per `a`. The END events of
+  * the last segment update the result of every window they fall into,
+  * restricted to STARTs `a` inside that window (Fig 6(b) expiration
+  * semantics), once per window per timestamp. Each count is kept once:
+  * the combined count of `S_1` alone is `S_1`'s own count per START.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
   * (Definition 1), so events sharing a timestamp must not see each other's
@@ -32,7 +35,8 @@ import KeyGroupEngine._
   * completions; (4) the per-timestamp state is cleared.
   *
   * Counts are exact: an update that would overflow a `Long` throws
-  * `ArithmeticException` instead of wrapping around.
+  * `ArithmeticException` instead of wrapping around, naming the segment
+  * and START time, or the query and window start, where it happened.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -71,7 +75,10 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
             val s     = starts(i)
             val delta = s.counts(j - 1)
             if (delta > 0) {
-              s.counts(j) = Math.addExact(s.counts(j), Math.multiplyExact(h.toLong, delta))
+              s.counts(j) = try Math.addExact(s.counts(j), Math.multiplyExact(h.toLong, delta))
+                catch { case _: ArithmeticException => throw new ArithmeticException(
+                  s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
+                    s"from its START at ${s.time} overflows a Long") }
               if (j == last) {
                 s.delta = delta
                 var m = 0; while (m < h) { completed += s; m += 1 }
@@ -105,133 +112,141 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     }
   }
 
-  /** Count-combination state of one query (§3.3). Level `j` corresponds
-    * to the combined pattern `C_j = S_1..S_j`; `comb(j)` maps the overall
-    * START `a` (a START of `S_1`) to the number of completed `C_{j+1}`
-    * matches. Only levels `1..k-2` are kept here: level 0 is `S_1`'s own
-    * count per START, and level `k-1` only feeds window results.
+  /** Count-combination state of one query (§3.3), kept per pane. A START's
+    * window membership and expiry depend only on its pane `time / slide`
+    * (Li et al., "No pane, no gain", SIGMOD Record 2005), so every level
+    * sums its overall STARTs (STARTs of `S_1`) per pane. Level `j` counts
+    * the matches of `S_1..S_{j+1}`: level 0 is `S_1`'s own count per
+    * START, `comb(j)` for `1 <= j <= k-2` is a ring of pane-tagged cells,
+    * and level `k-1` only feeds window results.
     */
   final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
-    private val k = segs.size
-    private val comb: Array[mutable.AnyRefMap[StartState, Long]] =
-      Array.fill(k)(mutable.AnyRefMap.empty)
-    // snaps(j): segment-j START c -> snapshot of level j-1 taken at c.
-    private val snaps: Array[mutable.AnyRefMap[StartState, Snap]] =
-      Array.fill(k)(mutable.AnyRefMap.empty)
+    private val k     = segs.size
+    private val slide = win.slideSec
+    // comb(j) is at index j-1. A ring has more cells than one window range
+    // has panes, so a cell tagged with a pane other than the one asked for
+    // holds an expired pane: no expiry sweep is needed.
+    private val ring     = (win.lengthSec / slide).toInt + 2
+    private val combPane = Array.fill(math.max(0, k - 2), ring)(-1L)
+    private val combVal  = Array.fill(math.max(0, k - 2), ring)(0L)
+    // snaps(j): segment-j START c -> level j-1 per pane of c's windows, from
+    // c's first window on; suffix-summed at the final level, so that cell i
+    // is the combined count inside c's (i+1)-th window.
+    private val snaps = Array.fill(k)(mutable.HashMap.empty[StartState, Array[Long]])
+    private val acc   = new Array[Long](ring) // this timestamp's result per window
     val results = mutable.LongMap.empty[Long] // windowStart -> count
 
-    /** Calls `f(a, n)` for every overall START `a` whose combined count `n`
-      * at level `j` is positive. Level 0 holds earlier STARTs only.
-      */
-    private def foreachCombined(j: Int)(f: (StartState, Long) => Unit): Unit =
-      if (j == 0) {
-        val first = segs(0)
-        val last  = first.types.size - 1
-        first.starts.foreach { a =>
-          val n = a.counts(last)
-          if (n > 0) f(a, n)
-        }
-      } else comb(j).foreachEntry { (a, n) => if (n > 0) f(a, n) }
+    /** `x + y × z`; an overflow names this query and the window at `ws`. */
+    private def mulAdd(x: Long, y: Long, z: Long, ws: Long): Long =
+      try Math.addExact(x, Math.multiplyExact(y, z))
+      catch { case _: ArithmeticException => throw new ArithmeticException(
+        s"count of query ${q.id} in the window starting at $ws overflows a Long") }
 
-    private def addResult(ws: Long, sum: Long): Unit =
-      if (sum != 0) {
-        if (!results.contains(ws)) metrics.addState(1)
-        results(ws) = Math.addExact(results.getOrElse(ws, 0L), sum)
-      }
-
-    /** Phase 1: snapshot level `j-1` at every new START of segment `j >= 1`
-      * (Fig 7: "when c3 arrives, count(A,B) = 1"). The final level buckets
-      * the snapshot by slide index (WinSnap), so a completion reads one
-      * cell per window instead of iterating every overall START.
+    /** Turns per-pane counts from `winFirst` on into per-window counts: a
+      * START counts in every current window that starts at or before it.
       */
-    def snapshot(j: Int): Unit = segs(j).started.foreach { c =>
-      if (j == k - 1) {
-        val buckets = new Array[Long](((winLast - winFirst) / win.slideSec).toInt + 1)
-        var touched = 0
-        foreachCombined(j - 1) { (a, n) =>
-          if (a.time >= winFirst) {
+    private def suffixSum(cells: Array[Long], n: Int): Unit = {
+      var i = n - 2
+      while (i >= 0) { cells(i) = mulAdd(cells(i), cells(i + 1), 1L, winFirst + i * slide); i -= 1 }
+    }
+
+    /** Phase 1: snapshot level `j-1` per pane at the new STARTs of segment
+      * `j >= 1` (Fig 7: "when c3 arrives, count(A,B) = 1"); cell `i` is
+      * pane `winFirst / slide + i`. STARTs of one timestamp share it.
+      */
+    def snapshot(j: Int): Unit = {
+      val p0      = winFirst / slide
+      val cells   = new Array[Long](((winLast - winFirst) / slide).toInt + 1)
+      var touched = 0 // nonzero STARTs or cells read
+      if (j == 1) {
+        val starts = segs(0).starts // earlier STARTs only, time-ordered
+        val last   = segs(0).types.size - 1
+        var i = starts.size - 1
+        while (i >= 0 && starts(i).time >= winFirst) {
+          val a = starts(i)
+          if (a.counts(last) > 0) {
             touched += 1
-            // `a` covers every window start <= a.time in range.
-            val pos = math.min(buckets.length - 1,
-              ((a.time - winFirst) / win.slideSec).toInt)
-            buckets(pos) = Math.addExact(buckets(pos), n)
+            val c = (a.time / slide - p0).toInt
+            cells(c) = mulAdd(cells(c), a.counts(last), 1L, (p0 + c) * slide)
           }
+          i -= 1
         }
-        // suffix-sum: sums(i) = Σ_{p >= i} buckets(p)
-        var i = buckets.length - 2
-        while (i >= 0) { buckets(i) = Math.addExact(buckets(i), buckets(i + 1)); i -= 1 }
-        metrics.combMults += math.max(1, touched + buckets.length)
-        metrics.addState(buckets.length.toLong + 1)
-        snaps(j)(c) = WinSnap(winFirst, buckets)
-      } else {
-        val snap = mutable.AnyRefMap.empty[StartState, Long]
-        foreachCombined(j - 1)((a, n) => snap(a) = n)
-        metrics.combMults += math.max(1, snap.size)
-        metrics.addState(snap.size.toLong + 1)
-        snaps(j)(c) = MapSnap(snap)
+      } else for (c <- cells.indices) {
+        val r = ((p0 + c) % ring).toInt
+        if (combPane(j - 2)(r) == p0 + c && combVal(j - 2)(r) > 0) {
+          touched += 1; cells(c) = combVal(j - 2)(r)
+        }
+      }
+      if (j == k - 1) suffixSum(cells, cells.length)
+      segs(j).started.foreach { c =>
+        metrics.combMults += touched + cells.length
+        metrics.addState(cells.length.toLong + 1)
+        snaps(j)(c) = cells
       }
     }
 
-    /** Phase 3: combine segment `j`'s completions. A single-segment query's
-      * END updates every window it falls into (§3.2), filtered to STARTs
-      * inside the window. Level `j >= 1` multiplies against the snapshot
-      * taken at its START.
+    /** Phase 3: combine segment `j`'s completions. Level `j >= 1` multiplies
+      * against the snapshot taken at its START, into `comb(j)` or, at the
+      * final level, into the windows the END falls into. A single-segment
+      * query's END adds its START's delta to every window holding that
+      * START (§3.2). Each window result is written once per timestamp.
       */
     def combine(j: Int): Unit = {
-      val seg = segs(j)
-      if (k == 1) {
-        val n  = seg.completed.size
-        var ws = winFirst
-        while (ws <= winLast) {
-          // Same work unit as the shared path's per-(START, window)
-          // combination lookups — metered so Non-Shared and Shared costs
-          // are comparable.
-          metrics.combMults += n
-          var sum = 0L
-          var i   = 0
-          while (i < n) {
-            val a = seg.completed(i)
-            if (a.time >= ws) sum = Math.addExact(sum, a.delta)
-            i += 1
+      val completed = segs(j).completed
+      if (j == k - 1) {
+        val n = ((winLast - winFirst) / slide).toInt + 1
+        // One work unit per (completion, window), the cost model's Comb.
+        metrics.combMults += completed.size.toLong * n
+        completed.foreach { c =>
+          if (k == 1) { // c is an overall START: bucket by pane
+            if (c.time >= winFirst) {
+              val i = ((c.time - winFirst) / slide).toInt
+              acc(i) = mulAdd(acc(i), c.delta, 1L, winFirst + i * slide)
+            }
+          } else {
+            val sums = snaps(j)(c)
+            val off  = ((winFirst - win.firstWindowStart(c.time)) / slide).toInt
+            var i = 0
+            while (i < n && off + i < sums.length) {
+              acc(i) = mulAdd(acc(i), sums(off + i), c.delta, winFirst + i * slide)
+              i += 1
+            }
           }
-          addResult(ws, sum)
-          ws += win.slideSec
         }
-      } else if (j > 0) seg.completed.foreach { c =>
-        snaps(j).getOrNull(c) match {
-          case MapSnap(snap) => // intermediate level
-            snap.foreachEntry { (a, pref) =>
-              metrics.combMults += 1
-              if (!comb(j).contains(a)) metrics.addState(1)
-              comb(j)(a) = Math.addExact(comb(j).getOrElse(a, 0L),
-                Math.multiplyExact(pref, c.delta))
+        if (k == 1) suffixSum(acc, n)
+        var i = 0
+        while (i < n) {
+          if (acc(i) != 0) {
+            val ws = winFirst + i * slide
+            if (!results.contains(ws)) metrics.addState(1)
+            results(ws) = mulAdd(results.getOrElse(ws, 0L), acc(i), 1L, ws)
+            acc(i) = 0L
+          }
+          i += 1
+        }
+      } else if (j > 0) {
+        val (tags, vals) = (combPane(j - 1), combVal(j - 1))
+        completed.foreach { c =>
+          val cells = snaps(j)(c)
+          val cp0   = win.firstWindowStart(c.time) / slide
+          // Panes before the current windows have expired.
+          for (i <- math.max(0L, winFirst / slide - cp0).toInt until cells.length if cells(i) > 0) {
+            val p = cp0 + i
+            val r = (p % ring).toInt
+            metrics.combMults += 1
+            if (tags(r) != p) {
+              if (tags(r) < 0) metrics.addState(1) // a cell is held from its first use
+              tags(r) = p; vals(r) = 0L
             }
-          case WinSnap(firstWs, sums) => // final level
-            var ws = winFirst
-            while (ws <= winLast) {
-              metrics.combMults += 1
-              val idx = (ws - firstWs) / win.slideSec
-              if (idx >= 0 && idx < sums.length)
-                addResult(ws, Math.multiplyExact(sums(idx.toInt), c.delta))
-              ws += win.slideSec
-            }
-          case _ => ()
+            vals(r) = mulAdd(vals(r), cells(i), c.delta, p * slide)
+          }
         }
       }
     }
 
-    def expire(now: Long): Unit = {
-      comb.foreach { m =>
-        val dead = m.keysIterator.filter(a => win.lastWindowEnd(a.time) <= now).toList
-        dead.foreach { a => m.remove(a); metrics.removeState(1) }
-      }
-      snaps.foreach { m =>
-        val dead = m.keysIterator.filter(c => win.lastWindowEnd(c.time) <= now).toList
-        dead.foreach { c =>
-          val snap = m.remove(c)
-          metrics.removeState(snap.map(_.stateUnits).getOrElse(1L))
-        }
-      }
+    def expire(now: Long): Unit = snaps.foreach { m =>
+      val dead = m.keysIterator.filter(c => win.lastWindowEnd(c.time) <= now).toList
+      dead.foreach(c => metrics.removeState(m.remove(c).get.length.toLong + 1))
     }
   }
 
@@ -355,26 +370,5 @@ object KeyGroupEngine {
     counts(0) = 1L
     /** Matches each of this timestamp's completing events ends here (phases 2 → 3). */
     var delta = 0L
-  }
-
-  /** Combination snapshot taken when a segment START arrives (§3.3).
-    * Intermediate levels keep per-START values; the final level only
-    * needs, per window the START can fall into, the sum of combined
-    * counts of overall STARTs inside that window — `w/slide` numbers per
-    * START instead of one per overall START. This is what keeps
-    * single-sided sharing's cost and memory quadratic-free at the final
-    * level (the literal Eq 5: the triple product arises only between two
-    * combination levels, i.e. when both a prefix and a suffix exist).
-    */
-  private sealed trait Snap { def stateUnits: Long }
-  private final case class MapSnap(m: mutable.AnyRefMap[StartState, Long]) extends Snap {
-    def stateUnits: Long = m.size.toLong + 1
-  }
-  /** `sums(i)` = Σ counts of overall STARTs `a` with
-    * `a.time >= firstWs + i*slide`, for the windows containing the
-    * segment START this snapshot belongs to.
-    */
-  private final case class WinSnap(firstWs: Long, sums: Array[Long]) extends Snap {
-    def stateUnits: Long = sums.length.toLong + 1
   }
 }

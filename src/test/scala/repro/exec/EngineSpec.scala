@@ -11,8 +11,8 @@ import EngineFixtures._
   */
 class EngineSpec extends AnyFunSuite {
 
-  // Alphabet A=0, B=1, C=2, D=3.
-  private val ids  = Map[EventType, Int]("A" -> 0, "B" -> 1, "C" -> 2, "D" -> 3)
+  // Alphabet A=0, B=1, C=2, D=3, E=4, F=5.
+  private val ids  = Map[EventType, Int]("A" -> 0, "B" -> 1, "C" -> 2, "D" -> 3, "E" -> 4, "F" -> 5)
   private def ev(t: Long, ty: String): Event = Event(0L, t, ids(ty))
 
   private def workloadOf(win: WindowSpec, ps: Pattern*): Workload =
@@ -218,7 +218,25 @@ class EngineSpec extends AnyFunSuite {
     val w2 = workloadOf(WindowSpec(12, 4),
       Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
     val shared2 = CompiledPlan.compile(w2, Seq(candidate(w2, Pattern("B", "C"), Set(0, 1, 2))), ids)
-    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((62L, 222L, 141L)))
+    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((62L, 225L, 144L)))
+  }
+
+  test("combination is per pane: each A of one pane costs one snapshot read, not one per level") {
+    val w  = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C", "D"), Pattern("B", "C"))
+    val cw = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), ids)
+    assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0), Vector(1, 2), Vector(3)))
+    def run(nA: Int): (Long, Long) = {
+      val as = (0 until nA).map(i => ev(1 + i % 50, "A"))
+      val (res, m) = runEngine(cw, as ++ Seq(ev(60, "B"), ev(70, "C"), ev(80, "D")))
+      (res((0, 0L)), m.combMults)
+    }
+    val (n150, mults150) = run(150)
+    val (n300, mults300) = run(300)
+    assert(n150 == 150 && n300 == 300)
+    // The snapshot at b60 reads each A once; combining at c70 and d80
+    // touches one pane, whatever the number of As.
+    assert(mults300 - mults150 == 150)
+    assert(mults300 - 300 < 10)
   }
 
   test("expiration prunes state on long streams (streaming emission)") {
@@ -254,8 +272,13 @@ class EngineSpec extends AnyFunSuite {
   test("overflow: a count above Long.MaxValue throws instead of wrapping") {
     assert(tenPlans(1)._2.queries(0).segments.size == 3)
     for ((name, cw) <- tenPlans) withClue(name) {
-      assertThrows[ArithmeticException](runEngine(cw, tenEvents(100))) // 10^20
+      val e = intercept[ArithmeticException](runEngine(cw, tenEvents(100))) // 10^20
+      assert(e.getMessage == "count of query 0 in the window starting at 0 overflows a Long")
     }
+    // 130^9 > Long.MaxValue: the START at time 0 overflows its own count.
+    val e = intercept[ArithmeticException](runEngine(tenPlans(0)._2, tenEvents(130)))
+    assert(e.getMessage ==
+      s"count of segment (${tenTypes.mkString(",")}) from its START at 0 overflows a Long")
   }
 
   test("overflow: a count just below Long.MaxValue stays exact") {
@@ -275,35 +298,48 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  // Three segments for q2, (A)|(B,C)|(D); 40 events over 4 types per seed.
+  private val wShared = workloadOf(WindowSpec(12, 4),
+    Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+  private val shared  = CompiledPlan.compile(wShared,
+    Seq(candidate(wShared, Pattern("B", "C"), Set(0, 1, 2))), ids)
+  // Four segments for q0, (A)|(B,C)|(D)|(E,F): two intermediate levels.
+  // 80 events over 6 types per seed.
+  private val wFour = workloadOf(WindowSpec(12, 4),
+    Pattern("A", "B", "C", "D", "E", "F"), Pattern("B", "C"), Pattern("E", "F"))
+  private val four  = CompiledPlan.compile(wFour, Seq(
+    candidate(wFour, Pattern("B", "C"), Set(0, 1)),
+    candidate(wFour, Pattern("E", "F"), Set(0, 2))), ids)
+  private val sharonCases = Seq(
+    ("Sharon", wShared, shared, (seed: Long) => randomEvents(seed + 1000, 40, 30, 4, 2)),
+    ("Sharon, four segments", wFour, four, (seed: Long) => randomEvents(seed + 2000, 80, 30, 6, 2)))
+
   test("property: Sharon engine equals brute force under a sharing plan") {
-    val win = WindowSpec(12, 4)
-    val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
-    val plan = Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2)))
-    val cw   = CompiledPlan.compile(w, plan, ids)
-    for (seed <- 0L until 30L) {
-      val events = randomEvents(seed + 1000, 40, 30, 4, 2)
-      val res    = runEngineMultiKey(cw, events)
-      val brute  = bruteWorkload(events, w, ids)
-      assert(res == brute, s"seed=$seed")
+    assert(shared.queries(2).segments.size == 3)
+    assert(four.queries(0).segments.map(_.types) ==
+      Vector(Vector(0), Vector(1, 2), Vector(3), Vector(4, 5)))
+    for ((name, w, cw, events) <- sharonCases) {
+      val deepest = cw.queries.maxBy(_.segments.size).id
+      var nonzero = 0
+      for (seed <- 0L until 30L) {
+        val res = runEngineMultiKey(cw, events(seed))
+        assert(res == bruteWorkload(events(seed), w, ids), s"$name seed=$seed")
+        nonzero += res.count { case ((q, _), _) => q == deepest }
+      }
+      assert(nonzero > 0, name) // some seed counts across every segment
     }
   }
 
   test("property: engine results independent of same-time arrival order") {
-    val win     = WindowSpec(12, 4)
-    val wASeq   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
-    val wShared = workloadOf(win,
-      Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
-    val shared  = CompiledPlan.compile(wShared,
-      Seq(candidate(wShared, Pattern("B", "C"), Set(0, 1, 2))), ids)
-    assert(shared.queries(2).segments.size == 3)
-    val cases = Seq(
-      ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids), 0L),
-      ("Sharon", wShared, shared, 1000L))
+    val wASeq = workloadOf(WindowSpec(12, 4),
+      Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
+    val cases = ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids),
+      (seed: Long) => randomEvents(seed, 40, 30, 4, 2)) +: sharonCases
     val orders = Seq[(String, Event => Int)](
       "types ascending" -> (e => e.etype), "types descending" -> (e => -e.etype))
     var mixedTies = 0
-    for ((name, w, cw, seedBase) <- cases; seed <- 0L until 30L) {
-      val events = randomEvents(seed + seedBase, 40, 30, 4, 2)
+    for ((name, w, cw, stream) <- cases; seed <- 0L until 30L) {
+      val events = stream(seed)
       mixedTies += events.groupBy(e => (e.key, e.time)).count(_._2.map(_.etype).distinct.size > 1)
       val brute = bruteWorkload(events, w, ids)
       for ((order, tie) <- orders)
