@@ -18,11 +18,13 @@ import KeyGroupEngine._
   * `snap(c) × δ` to the combined count of `S_1..S_j`. An overall START
   * `a` (a START of `S_1`) matters only through its pane `a.time / slide`,
   * which fixes the windows holding `a` and when it expires, so combined
-  * counts and snapshots are kept per pane, not per `a`. The END events of
+  * counts and snapshots are kept per pane, not per `a`. A snapshot lives
+  * on the START `c` it was taken at and expires with it. The END events of
   * the last segment update the result of every window they fall into,
   * restricted to STARTs `a` inside that window (Fig 6(b) expiration
-  * semantics), once per window per timestamp. Each count is kept once:
-  * the combined count of `S_1` alone is `S_1`'s own count per START.
+  * semantics), once per window per timestamp, in a dense array of window
+  * results. Each count is kept once: the combined count of `S_1` alone is
+  * `S_1`'s own count per START.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
   * (Definition 1), so events sharing a timestamp must not see each other's
@@ -48,6 +50,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     private val last = types.size - 1
     val starts  = mutable.ArrayBuffer.empty[StartState]          // live STARTs, time-ordered
     val readers = mutable.ArrayBuffer.empty[(QueryRuntime, Int)] // (query, position in it)
+    private var slots = 0 // snapshot slots per START: one per reader at position >= 1
     // Per timestamp: new STARTs (joining `starts` in phase 2), events per
     // level j >= 1, and completing STARTs, once per completing event.
     val started      = mutable.ArrayBuffer.empty[StartState]
@@ -55,9 +58,17 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     val completed    = mutable.ArrayBuffer.empty[StartState]
     private var idle = true
 
+    /** Registers `qr` reading this segment at position `j`; returns the
+      * START's snapshot slot of that reader, or -1 at position 0.
+      */
+    def addReader(qr: QueryRuntime, j: Int): Int = {
+      readers += ((qr, j))
+      if (j == 0) -1 else { slots += 1; slots - 1 }
+    }
+
     def arrive(time: Long, level: Int): Unit = {
       if (idle) { idle = false; busy += this }
-      if (level == 0) started += new StartState(time, types.size) else hits(level) += 1
+      if (level == 0) started += new StartState(time, types.size, slots) else hits(level) += 1
     }
 
     /** Phase 2: each level-`j` event adds every earlier START's count one
@@ -100,13 +111,17 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       started.clear(); java.util.Arrays.fill(hits, 0); completed.clear(); idle = true
     }
 
-    /** Drop STARTs whose last containing window has closed (§3.2). Safe:
-      * the window filter at result time already excludes them. STARTs are
-      * time-ordered, so the expired ones form a prefix.
+    /** Drop STARTs whose last containing window has closed (§3.2), with
+      * the snapshots taken at them. Safe: the window filter at result time
+      * already excludes them. STARTs are time-ordered, so the expired ones
+      * form a prefix.
       */
     def expire(now: Long): Unit = {
       var n = 0
-      while (n < starts.size && win.lastWindowEnd(starts(n).time) <= now) n += 1
+      while (n < starts.size && win.lastWindowEnd(starts(n).time) <= now) {
+        starts(n).snaps.foreach(cells => metrics.removeState(cells.length.toLong + 1))
+        n += 1
+      }
       metrics.removeState(n.toLong * types.size)
       starts.remove(0, n)
     }
@@ -118,23 +133,28 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     * sums its overall STARTs (STARTs of `S_1`) per pane. Level `j` counts
     * the matches of `S_1..S_{j+1}`: level 0 is `S_1`'s own count per
     * START, `comb(j)` for `1 <= j <= k-2` is a ring of pane-tagged cells,
-    * and level `k-1` only feeds window results.
+    * and level `k-1` only feeds window results. The snapshot at a START of
+    * segment `j >= 1` is kept on that START, in this query's slot, and is
+    * released when the segment drops the START. Window results are a dense
+    * array indexed by window number `windowStart / slide`, from the first
+    * window not yet emitted on.
     */
   final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
     private val k     = segs.size
     private val slide = win.slideSec
+    private val slot  = Array.tabulate(k)(j => segs(j).addReader(this, j))
     // comb(j) is at index j-1. A ring has more cells than one window range
     // has panes, so a cell tagged with a pane other than the one asked for
     // holds an expired pane: no expiry sweep is needed.
     private val ring     = (win.lengthSec / slide).toInt + 2
     private val combPane = Array.fill(math.max(0, k - 2), ring)(-1L)
     private val combVal  = Array.fill(math.max(0, k - 2), ring)(0L)
-    // snaps(j): segment-j START c -> level j-1 per pane of c's windows, from
-    // c's first window on; suffix-summed at the final level, so that cell i
-    // is the combined count inside c's (i+1)-th window.
-    private val snaps = Array.fill(k)(mutable.HashMap.empty[StartState, Array[Long]])
-    private val acc   = new Array[Long](ring) // this timestamp's result per window
-    val results = mutable.LongMap.empty[Long] // windowStart -> count
+    private val acc = new Array[Long](ring) // this timestamp's result per window
+    // results(i) is the count of window number base + i, 0 if it has none
+    // yet (counts are positive); windows from `top` on were never written.
+    private var results = new Array[Long](ring)
+    private var base    = 0L
+    private var top     = 0L
 
     /** `x + y × z`; an overflow names this query and the window at `ws`. */
     private def mulAdd(x: Long, y: Long, z: Long, ws: Long): Long =
@@ -181,7 +201,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       segs(j).started.foreach { c =>
         metrics.combMults += touched + cells.length
         metrics.addState(cells.length.toLong + 1)
-        snaps(j)(c) = cells
+        c.snaps(slot(j)) = cells
       }
     }
 
@@ -204,7 +224,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
               acc(i) = mulAdd(acc(i), c.delta, 1L, winFirst + i * slide)
             }
           } else {
-            val sums = snaps(j)(c)
+            val sums = c.snaps(slot(j))
             val off  = ((winFirst - win.firstWindowStart(c.time)) / slide).toInt
             var i = 0
             while (i < n && off + i < sums.length) {
@@ -214,12 +234,12 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           }
         }
         if (k == 1) suffixSum(acc, n)
+        val r0 = resultCells(winFirst / slide, n)
         var i = 0
         while (i < n) {
           if (acc(i) != 0) {
-            val ws = winFirst + i * slide
-            if (!results.contains(ws)) metrics.addState(1)
-            results(ws) = mulAdd(results.getOrElse(ws, 0L), acc(i), 1L, ws)
+            if (results(r0 + i) == 0) metrics.addState(1)
+            results(r0 + i) = mulAdd(results(r0 + i), acc(i), 1L, winFirst + i * slide)
             acc(i) = 0L
           }
           i += 1
@@ -227,7 +247,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       } else if (j > 0) {
         val (tags, vals) = (combPane(j - 1), combVal(j - 1))
         completed.foreach { c =>
-          val cells = snaps(j)(c)
+          val cells = c.snaps(slot(j))
           val cp0   = win.firstWindowStart(c.time) / slide
           // Panes before the current windows have expired.
           for (i <- math.max(0L, winFirst / slide - cp0).toInt until cells.length if cells(i) > 0) {
@@ -235,7 +255,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
             val r = (p % ring).toInt
             metrics.combMults += 1
             if (tags(r) != p) {
-              if (tags(r) < 0) metrics.addState(1) // a cell is held from its first use
+              if (tags(r) < 0) metrics.addState(1) // held from first use until dropped
               tags(r) = p; vals(r) = 0L
             }
             vals(r) = mulAdd(vals(r), cells(i), c.delta, p * slide)
@@ -244,9 +264,37 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       }
     }
 
-    def expire(now: Long): Unit = snaps.foreach { m =>
-      val dead = m.keysIterator.filter(c => win.lastWindowEnd(c.time) <= now).toList
-      dead.foreach(c => metrics.removeState(m.remove(c).get.length.toLong + 1))
+    /** Index in `results` of window number `w`, with cells for the `n - 1`
+      * windows after it.
+      */
+    private def resultCells(w: Long, n: Int): Int = {
+      if (top <= base) { base = w; top = w } // nothing held: start at `w`
+      top = math.max(top, w + n)
+      if (top - base > results.length)
+        results = java.util.Arrays.copyOf(results, math.max((top - base).toInt, 2 * results.length))
+      (w - base).toInt
+    }
+
+    /** The windows held before window number `end`, in window order. */
+    def windows(end: Long): Iterator[QueryWindowCount] =
+      (0 until (math.min(end, top) - base).toInt).iterator
+        .filter(results(_) != 0)
+        .map(i => QueryWindowCount(q.id, (base + i) * slide, results(i)))
+
+    /** Forgets the windows before window number `end`, and frees the ring
+      * cells of panes before `end`: the last window holding pane `p` is
+      * window number `p`, so no later snapshot or combination reads them.
+      */
+    def drop(end: Long): Unit = {
+      val n = math.max(0L, math.min(end, top) - base).toInt
+      var i = 0
+      while (i < n) { if (results(i) != 0) metrics.removeState(1); i += 1 }
+      System.arraycopy(results, n, results, 0, results.length - n)
+      java.util.Arrays.fill(results, results.length - n, results.length, 0L)
+      base += n
+      for (tags <- combPane; r <- tags.indices if tags(r) >= 0 && tags(r) < end) {
+        tags(r) = -1L; metrics.removeState(1)
+      }
     }
   }
 
@@ -254,11 +302,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val segmentRuntimes: mutable.LinkedHashMap[String, SegmentRuntime] =
     mutable.LinkedHashMap.empty
   private val queryRuntimes: Vector[QueryRuntime] = cw.queries.map { cq =>
-    val segs = cq.segments.map(s =>
-      segmentRuntimes.getOrElseUpdate(s.shareKey, new SegmentRuntime(s.types)))
-    val qr = new QueryRuntime(cq, segs)
-    segs.zipWithIndex.foreach { case (s, j) => s.readers += ((qr, j)) }
-    qr
+    new QueryRuntime(cq, cq.segments.map(s =>
+      segmentRuntimes.getOrElseUpdate(s.shareKey, new SegmentRuntime(s.types))))
   }
   private val segArr = segmentRuntimes.values.toArray
   // Dispatch by type id: the segments that react to a type, and its level in each.
@@ -277,6 +322,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private var flushed    = false
   private val busy       = mutable.ArrayBuffer.empty[SegmentRuntime]
   private var nextExpire = Long.MinValue
+  // The highest emitClosed watermark: an earlier event could change an emitted window.
+  private var closedBefore = 0L
 
   /** Runs the phases of timestamp `now` (see the class doc). */
   private def endTimestamp(): Unit =
@@ -292,12 +339,12 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       busy.clear()
     }
 
-  /** Feeds one event. Times must be non-negative and non-decreasing, and
-    * an event may not share the timestamp of a [[results]] or
-    * [[emitClosed]] call before it.
+  /** Feeds one event. Times must be non-negative and non-decreasing, an
+    * event may not share the timestamp of a [[results]] or [[emitClosed]]
+    * call before it, and may not precede an [[emitClosed]] watermark.
     */
   def feed(e: Event): Unit = {
-    require(e.time >= 0, s"negative timestamp in $e")
+    require(e.time >= closedBefore, s"negative timestamp or one before an emitClosed watermark in $e")
     require(e.time > now || (e.time == now && !flushed),
       s"events must arrive in time order, each timestamp before reading results: $e")
     if (e.time > now) {
@@ -306,7 +353,6 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       flushed = false
       if (now >= nextExpire) {
         segArr.foreach(_.expire(now))
-        queryRuntimes.foreach(_.expire(now))
         nextExpire = now + win.slideSec
       }
     }
@@ -326,10 +372,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   /** Current per-key window counts of every query (closes the current timestamp). */
   def results(): Iterator[QueryWindowCount] = {
     flush()
-    for {
-      qr        <- queryRuntimes.iterator
-      (ws, cnt) <- qr.results.iterator
-    } yield QueryWindowCount(qr.q.id, ws, cnt)
+    queryRuntimes.iterator.flatMap(_.windows(Long.MaxValue))
   }
 
   /** Streaming emission: returns and forgets the counts of all windows
@@ -337,17 +380,12 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     */
   def emitClosed(watermark: Long): Vector[QueryWindowCount] = {
     flush()
-    val out = Vector.newBuilder[QueryWindowCount]
-    queryRuntimes.foreach { qr =>
-      val closed = qr.results.keysIterator
-        .filter(ws => ws + win.lengthSec <= watermark).toList
-      closed.foreach { ws =>
-        out += QueryWindowCount(qr.q.id, ws, qr.results(ws))
-        qr.results.remove(ws)
-        metrics.removeState(1)
-      }
-    }
-    out.result()
+    // The first window number whose window ends after the watermark.
+    val end = if (watermark < win.lengthSec) 0L else (watermark - win.lengthSec) / win.slideSec + 1
+    val out = queryRuntimes.flatMap(_.windows(end))
+    queryRuntimes.foreach(_.drop(end))
+    closedBefore = math.max(closedBefore, watermark)
+    out
   }
 
   /** Processes a complete, time-sorted key group and returns the per-key
@@ -361,13 +399,17 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 
 object KeyGroupEngine {
 
+  private val NoSnaps = new Array[Array[Long]](0)
+
   /** Per-START-event state of one segment: `counts(j)` = number of
     * matches of the segment's first `j+1` types starting at this START
     * (`counts(0)` is identically 1 — the START itself).
     */
-  final class StartState(val time: Long, nLevels: Int) {
+  final class StartState(val time: Long, nLevels: Int, nSnaps: Int) {
     val counts = new Array[Long](nLevels)
     counts(0) = 1L
+    /** Per reader at position >= 1: the snapshot taken at this START. */
+    val snaps = if (nSnaps == 0) NoSnaps else new Array[Array[Long]](nSnaps)
     /** Matches each of this timestamp's completing events ends here (phases 2 → 3). */
     var delta = 0L
   }

@@ -12,3 +12,25 @@ final case class Event(key: Long, time: Long, etype: Int)
   * matches by key; COUNT(*) per window totals the groups).
   */
 final case class QueryWindowCount(queryId: Int, windowStart: Long, count: Long)
+
+/** Exact workload-level counts: sums the per-key partial counts of each
+  * `(query, window)`. An overflow throws `ArithmeticException` naming the
+  * query and the window start, as the engine's messages do. Windows keep
+  * the order in which they were first added.
+  */
+final class WindowSums {
+  private val sums = scala.collection.mutable.LinkedHashMap.empty[(Int, Long), Long]
+
+  /** Adds `r`'s count; returns whether its window is new. */
+  def add(r: QueryWindowCount): Boolean = {
+    val k   = (r.queryId, r.windowStart)
+    val old = sums.get(k)
+    sums(k) = try Math.addExact(old.getOrElse(0L), r.count)
+      catch { case _: ArithmeticException => throw new ArithmeticException(
+        s"count of query ${r.queryId} in the window starting at ${r.windowStart} overflows a Long") }
+    old.isEmpty
+  }
+
+  def iterator: Iterator[QueryWindowCount] =
+    sums.iterator.map { case ((q, ws), c) => QueryWindowCount(q, ws, c) }
+}

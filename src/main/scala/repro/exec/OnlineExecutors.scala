@@ -1,7 +1,7 @@
 package repro.exec
 
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.util.AccumulatorV2
 import repro.core.Candidate
 import repro.core.Model._
@@ -27,8 +27,10 @@ final class MetricsAccumulator extends AccumulatorV2[EngineMetrics, EngineMetric
   * `Dataset.groupByKey(key).flatMapSortedGroups(time)` — one
   * [[KeyGroupEngine]] per key group evaluates the *whole workload* from
   * the compiled sharing graph, so shared segment states are reused across
-  * queries inside the operator. Per-key partial counts are then summed by
-  * a Catalyst aggregation.
+  * queries inside the operator. Each task of that stage sums its key
+  * groups' counts per `(query, window)`, and the driver merges the tasks'
+  * sums; both sums are exact ([[WindowSums]]). No Spark stage runs after
+  * the engine's.
   */
 object OnlineExecutors {
 
@@ -37,31 +39,36 @@ object OnlineExecutors {
     */
   final case class RunResult(counts: DataFrame, metrics: EngineMetrics, millis: Double)
 
-  /** Runs the engine over `events` under compiled workload `cw` and
-    * materializes the counts (the returned DataFrame is cached).
+  /** Runs the engine over `events` under compiled workload `cw`; the
+    * returned counts are a local DataFrame, already materialized.
     */
   def run(spark: SparkSession, events: Dataset[Event], cw: CompiledWorkload): RunResult = {
     import spark.implicits._
     val acc = new MetricsAccumulator
     spark.sparkContext.register(acc, "engine-metrics")
-    val perKey = events
+    val perTask = events
       .groupByKey(_.key)
       .flatMapSortedGroups($"time", $"etype") { (_: Long, it: Iterator[Event]) =>
         val metrics = new EngineMetrics
-        val engine  = new KeyGroupEngine(cw, metrics)
-        val out     = engine.run(it).toVector
+        val out     = new KeyGroupEngine(cw, metrics).run(it)
         acc.add(metrics)
         out
       }
-    val counts = perKey
-      .groupBy($"queryId".as("query_id"), $"windowStart".as("window_start"))
-      .agg(sum($"count").as("cnt"))
-      .select($"query_id", $"window_start", $"cnt")
-    val t0 = System.nanoTime()
-    val materialized = counts.cache()
-    materialized.count() // force
+      .mapPartitions { perKey =>
+        val sums = new WindowSums
+        perKey.foreach(sums.add)
+        sums.iterator
+      }
+    val t0   = System.nanoTime()
+    val sums = new WindowSums
+    try perTask.collect().foreach(sums.add)
+    catch { // an exact sum overflowed in a task: refuse as the driver's merge does
+      case e: SparkException if e.getCause.isInstanceOf[ArithmeticException] => throw e.getCause
+    }
+    val counts = sums.iterator.map(r => (r.queryId, r.windowStart, r.count)).toSeq
+      .toDF("query_id", "window_start", "cnt")
     val ms = (System.nanoTime() - t0) / 1e6
-    RunResult(materialized, acc.value, ms)
+    RunResult(counts, acc.value, ms)
   }
 
   /** Non-Shared method for the whole workload — A-Seq (§3.2): every query

@@ -36,14 +36,13 @@ object StructuredSharon {
     val metrics = new EngineMetrics
     val engines = mutable.LongMap.empty[KeyGroupEngine]
     // Closed windows are per-key partial counts; sum across keys, exactly.
-    val emittedAgg    = mutable.LinkedHashMap.empty[(Int, Long), Long]
-    val emissionBatch = mutable.LinkedHashMap.empty[(Int, Long), Long]
+    // emissionBatch(i) is the batch that first emitted the i-th window.
+    val emittedAgg    = new WindowSums
+    val emissionBatch = mutable.ArrayBuffer.empty[Long]
     def emit(watermark: Long, batchId: Long): Unit =
       engines.values.foreach { eng =>
         eng.emitClosed(watermark).foreach { r =>
-          val k = (r.queryId, r.windowStart)
-          emittedAgg(k) = Math.addExact(emittedAgg.getOrElse(k, 0L), r.count)
-          emissionBatch.getOrElseUpdate(k, batchId)
+          if (emittedAgg.add(r)) emissionBatch += batchId
         }
       }
 
@@ -71,9 +70,6 @@ object StructuredSharon {
       emit(Long.MaxValue, batches) // final flush: close every remaining window
     } finally query.stop()
 
-    StreamRunResult(
-      emittedAgg.iterator.map { case ((q, ws), c) => QueryWindowCount(q, ws, c) }.toVector,
-      emittedAgg.keysIterator.map(emissionBatch).toVector,
-      metrics, batches)
+    StreamRunResult(emittedAgg.iterator.toVector, emissionBatch.toVector, metrics, batches)
   }
 }

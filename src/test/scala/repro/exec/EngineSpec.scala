@@ -348,6 +348,33 @@ class EngineSpec extends AnyFunSuite {
     assert(mixedTies > 0) // the streams do hold same-time events of different types
   }
 
+  test("streaming emission: each window once, as in batch, and no state left at the end") {
+    val slide = wShared.window.slideSec
+    var deepest = 0
+    for (seed <- 0L until 30L) {
+      val events = randomEvents(seed + 3000, 40, 30, 4, 1).sortBy(e => (e.time, e.etype))
+      val m   = new EngineMetrics
+      val eng = new KeyGroupEngine(shared, m)
+      val emitted = Vector.newBuilder[QueryWindowCount]
+      var pane = 0L
+      events.foreach { e =>
+        // Before the first event of each later pane, emit what its start closed.
+        while (pane < e.time / slide) { pane += 1; emitted ++= eng.emitClosed(pane * slide) }
+        eng.feed(e)
+      }
+      // An unknown type past every window's end expires every START.
+      eng.feed(Event(0L, events.last.time + wShared.window.lengthSec + slide, 99))
+      emitted ++= eng.emitClosed(Long.MaxValue)
+      val out = emitted.result().map(r => (r.queryId, r.windowStart) -> r.count)
+      assert(out.map(_._1).distinct.size == out.size, s"seed=$seed")
+      assert(out.toMap == runEngine(shared, events)._1, s"seed=$seed")
+      assert(m.curStateUnits == 0, s"seed=$seed")
+      assertThrows[IllegalArgumentException](eng.feed(ev(events.last.time, "A"))) // before the watermark
+      deepest += out.count(_._1._1 == 2)
+    }
+    assert(deepest > 0) // some seed counts across all three segments
+  }
+
   test("negative timestamps are rejected") {
     val w      = workloadOf(WindowSpec(10, 5), Pattern("A", "B", "C"), Pattern("B", "C"))
     val events = Seq(ev(-3, "A"), ev(-2, "B"), ev(-1, "C"))

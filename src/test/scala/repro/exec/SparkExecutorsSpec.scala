@@ -1,5 +1,6 @@
 package repro.exec
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, OracleSql, SparkSpec}
 import repro.core.{Optimizer, SharablePatterns, SharonGraph}
@@ -86,6 +87,35 @@ class SparkExecutorsSpec extends SparkSpec {
     val g   = asMap(OnlineExecutors.runSharon(spark, events, workload, greedyPlan, typeIds).counts)
     val a   = asMap(OnlineExecutors.runASeq(spark, events, workload, typeIds).counts)
     assert(g == a)
+  }
+
+  test("Sharon's counts come back materialized: collecting them starts no Spark job") {
+    val res  = OnlineExecutors.runSharon(spark, events, workload, sharonPlan, typeIds)
+    val sc   = spark.sparkContext
+    val jobs = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(j: SparkListenerJobStart): Unit =
+        jobs.add(String.valueOf(j.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counts", "collect the counts of a finished run")
+      val rows = res.counts.collect()
+      res.counts.unpersist()
+      assert(res.counts.collect().sameElements(rows))
+      // Listener events arrive in order: once the probe job is seen, any
+      // job the collects started has been seen too.
+      sc.setJobGroup("probe", "a job after the collects")
+      sc.parallelize(Seq(1), 1).count()
+      val deadline = System.nanoTime() + 30000000000L
+      while (!jobs.contains("probe") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(jobs.contains("probe"))
+      assert(!jobs.contains("counts"))
+      assert(rows.nonEmpty)
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+    }
   }
 
   test("sharing reduces engine work on the traffic workload") {

@@ -74,8 +74,11 @@ class StructuredSharonSpec extends SparkSpec {
     val cw    = CompiledPlan.nonShared(Workload(WindowSpec(100, 100), Seq(Pattern(types))), ids)
     val events = for (key <- 0L to 1L; t <- 0 until 10; _ <- 0 until 75) yield Event(key, t.toLong, t)
     assert(EngineFixtures.runEngine(cw, events.filter(_.key == 0))._1((0, 0L)) == 5631351470947265625L)
-    assertThrows[ArithmeticException](StructuredSharon.run(spark, events, cw, batchSeconds = 5))
+    val message = "count of query 0 in the window starting at 0 overflows a Long"
+    val streamed = intercept[ArithmeticException](StructuredSharon.run(spark, events, cw, batchSeconds = 5))
+    assert(streamed.getMessage == message)
     import spark.implicits._
-    assertThrows[ArithmeticException](OnlineExecutors.run(spark, events.toDS(), cw))
+    val batch = intercept[ArithmeticException](OnlineExecutors.run(spark, events.toDS(), cw))
+    assert(batch.getMessage == message)
   }
 }
