@@ -97,13 +97,10 @@ object Optimizer {
     * the reduced graph is returned with `completed = false`.
     */
   def sharon(workload: Workload, rates: Rates,
-             expand: Boolean = true,
              maxOptions: Int = 4096,
              maxLevelWidth: Long = Long.MaxValue): Result = {
     val (g, constructPhase) = buildGraph(workload, rates)
-    val (expanded, expandMs) =
-      if (expand) timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
-      else (g, 0.0)
+    val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
     val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
     val (red, reduceMs) = timed(Reduction.reduce(expanded))
     val reducePhase = Phase("graph reduction", reduceMs, graphMem(red.reduced))

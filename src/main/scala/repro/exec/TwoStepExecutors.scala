@@ -1,144 +1,101 @@
 package repro.exec
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Candidate
 import repro.core.Model._
+import CompiledPlan._
 
 /** The two-step baselines of the paper's §8.2, built on Catalyst
   * DataFrame joins: event sequences are *constructed* (materialized as
   * join rows — polynomially many in the number of events per window) and
   * only then aggregated.
   *
-  *  - **Flink-like** (non-shared two-step): every query independently
-  *    builds its matches with an l-way self-join, then counts them.
-  *  - **SPASS-like** (shared two-step): match relations of shared
-  *    patterns are materialized once (persisted) and reused by all
-  *    queries containing them; per-query prefix/suffix matches are built
-  *    unshared and joined with the shared relation before counting —
-  *    sharing the construction, not the aggregation.
+  * Both baselines run one executor over a compiled workload: each
+  * segment's match relation is built once per `shareKey`, and each query
+  * joins its segments' relations in order before counting per window.
+  *
+  *  - **Flink-like** (non-shared two-step): the Non-Shared compilation,
+  *    so every query builds its own matches with an l-way self-join.
+  *  - **SPASS-like** (shared two-step): the plan's compilation, so the
+  *    match relation of a shared pattern is built once and reused by all
+  *    queries containing it — sharing the construction, not the
+  *    aggregation.
   */
 object TwoStepExecutors {
 
   final case class RunResult(counts: DataFrame, matchesConstructed: Long, millis: Double)
 
-  /** Explodes each event into the sliding windows containing it. */
-  def windowed(spark: SparkSession, events: DataFrame, win: WindowSpec): DataFrame = {
-    val windowsOf = udf((t: Long) => win.windowsOf(t))
-    events.withColumn("ws", explode(windowsOf(col("time"))))
-  }
-
-  /** Constructs the match relation of `pattern` (dictionary-coded types)
-    * over windowed events `we(ws, key, time, etype)`: one row per event
-    * sequence, carrying the window, key, and first/last event times.
+  /** Joins match relations `(ws, key, t_first, t_last)` in order — same
+    * window and key, the last event of one strictly before the first of
+    * the next — yielding one row per sequence through all of them.
     */
-  def matches(we: DataFrame, pattern: Seq[Int]): DataFrame = {
-    require(pattern.nonEmpty)
-    def leg(i: Int): DataFrame =
-      we.filter(col("etype") === pattern(i))
-        .select(col("ws").as(s"ws_$i"), col("key").as(s"key_$i"),
-                col("time").as(s"t_$i"))
-    var df = leg(0).withColumnRenamed("ws_0", "ws").withColumnRenamed("key_0", "key")
-    for (i <- 1 until pattern.size) {
-      val cond: Column = col("ws") === col(s"ws_$i") &&
-        col("key") === col(s"key_$i") &&
-        col(s"t_${i - 1}") < col(s"t_$i")
-      df = df.join(leg(i), cond).drop(s"ws_$i", s"key_$i")
+  private def chain(rels: Seq[DataFrame]): DataFrame = {
+    require(rels.nonEmpty)
+    def tagged(i: Int): DataFrame =
+      rels(i).select(col("ws").as(s"ws_$i"), col("key").as(s"key_$i"),
+        col("t_first").as(s"f_$i"), col("t_last").as(s"l_$i"))
+    var df = tagged(0).withColumnRenamed("ws_0", "ws").withColumnRenamed("key_0", "key")
+    for (i <- 1 until rels.size) {
+      val cond = col("ws") === col(s"ws_$i") && col("key") === col(s"key_$i") &&
+        col(s"l_${i - 1}") < col(s"f_$i")
+      df = df.join(tagged(i), cond).drop(s"ws_$i", s"key_$i")
     }
     df.select(col("ws"), col("key"),
-      col("t_0").as("t_first"), col(s"t_${pattern.size - 1}").as("t_last"))
+      col("f_0").as("t_first"), col(s"l_${rels.size - 1}").as("t_last"))
   }
 
-  /** Joins segment match relations in order (last event of a segment
-    * strictly before the first of the next — within-segment order is
-    * already enforced), yielding one row per full sequence.
+  /** Runs compiled workload `cw` in two steps. A segment's match
+    * relation is the [[chain]] of its single-event relations
+    * `(ws, key, t_first = t_last = time)`; a shared segment's relation is
+    * built once and kept to the end, a private one is dropped after its
+    * query. `matchesConstructed` counts the rows of every relation built
+    * — the step that makes two-step approaches blow up (Fig 13).
     */
-  private def joinSegments(segs: Seq[DataFrame]): DataFrame = {
-    require(segs.nonEmpty)
-    def tagged(i: Int): DataFrame = {
-      val d = segs(i)
-      d.select(col("ws").as(s"sws_$i"), col("key").as(s"skey_$i"),
-        col("t_first").as(s"sf_$i"), col("t_last").as(s"sl_$i"))
-    }
-    var df = tagged(0).withColumnRenamed("sws_0", "ws").withColumnRenamed("skey_0", "key")
-    for (i <- 1 until segs.size) {
-      val cond: Column = col("ws") === col(s"sws_$i") &&
-        col("key") === col(s"skey_$i") &&
-        col(s"sl_${i - 1}") < col(s"sf_$i")
-      df = df.join(tagged(i), cond).drop(s"sws_$i", s"skey_$i")
-    }
-    df.select(col("ws"), col("key"),
-      col("sf_0").as("t_first"), col(s"sl_${segs.size - 1}").as("t_last"))
+  def run(spark: SparkSession, events: DataFrame, cw: CompiledWorkload): RunResult = {
+    val t0          = System.nanoTime()
+    val win         = cw.window
+    val windowsOf   = udf((t: Long) => win.windowsOf(t)) // each event in every window holding it
+    val we          = events.withColumn("ws", explode(windowsOf(col("time"))))
+    val built       = mutable.Map.empty[String, DataFrame]
+    var constructed = 0L
+    def relation(s: CompiledSegment): DataFrame =
+      built.getOrElseUpdate(s.shareKey, {
+        val m = chain(s.types.map { t =>
+          we.filter(col("etype") === t).select(col("ws"), col("key"),
+            col("time").as("t_first"), col("time").as("t_last"))
+        }).persist()
+        constructed += m.count() // sequences are materialized, then aggregated
+        m
+      })
+    val counts = cw.queries.map { q =>
+      val full = chain(q.segments.map(relation))
+      val out  = full.groupBy(col("ws").as("window_start"))
+        .agg(count(lit(1)).as("cnt"))
+        .select(lit(q.id).as("query_id"), col("window_start"), col("cnt"))
+        .cache()
+      out.count()
+      q.segments.filterNot(_.shared).foreach(s => built.remove(s.shareKey).foreach(_.unpersist()))
+      out
+    }.reduce(_ union _)
+    val materialized = counts.cache(); materialized.count()
+    built.values.foreach(_.unpersist())
+    RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
   }
-
-  private def countsOf(queryId: Int, matchRel: DataFrame): DataFrame =
-    matchRel.groupBy(col("ws").as("window_start"))
-      .agg(count(lit(1)).as("cnt"))
-      .select(lit(queryId).as("query_id"), col("window_start"), col("cnt"))
 
   /** Flink-like executor: non-shared sequence construction + aggregation
-    * per query. `matchesConstructed` counts the materialized sequences —
-    * the step that makes two-step approaches blow up (Fig 13).
+    * per query.
     */
   def runFlinkLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   typeIds: Map[EventType, Int]): RunResult = {
-    val t0 = System.nanoTime()
-    val we = windowed(spark, events, workload.window)
-    var constructed = 0L
-    val counts = workload.queries.map { q =>
-      val m = matches(we, q.pattern.types.map(typeIds)).persist()
-      constructed += m.count() // sequences are materialized, then aggregated
-      val c = countsOf(q.id, m)
-      val out = c.cache(); out.count(); m.unpersist()
-      out
-    }.reduce(_ union _)
-    val materialized = counts.cache(); materialized.count()
-    RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
-  }
+                   typeIds: Map[EventType, Int]): RunResult =
+    run(spark, events, CompiledPlan.nonShared(workload, typeIds))
 
   /** SPASS-like executor: match relations of the plan's shared patterns
-    * are built once and reused; aggregation stays per query.
+    * are built once and reused; aggregation stays per query. An invalid
+    * plan is refused by [[CompiledPlan.compile]].
     */
   def runSpassLike(spark: SparkSession, events: DataFrame, workload: Workload,
-                   plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult = {
-    val t0 = System.nanoTime()
-    val we = windowed(spark, events, workload.window)
-    var constructed = 0L
-    // Shared construction: one persisted match relation per shared pattern.
-    val sharedRel: Map[Pattern, DataFrame] =
-      plan.map(_.pattern).distinct.map { p =>
-        val m = matches(we, p.types.map(typeIds)).persist()
-        constructed += m.count()
-        p -> m
-      }.toMap
-    val counts = workload.queries.map { q =>
-      val spans = plan
-        .filter(_.queryIds.contains(q.id))
-        .map(c => (q.pattern.indexOf(c.pattern).get, c.pattern))
-        .sortBy(_._1)
-      val segs = Vector.newBuilder[DataFrame]
-      val gaps = Vector.newBuilder[DataFrame]
-      var pos  = 0
-      def gapSeg(until: Int): Unit = if (until > pos) {
-        val m = matches(we, q.pattern.types.slice(pos, until).map(typeIds)).persist()
-        constructed += m.count()
-        segs += m; gaps += m
-        pos = until
-      }
-      for ((s, p) <- spans) {
-        gapSeg(s)
-        segs += sharedRel(p)
-        pos = s + p.length
-      }
-      gapSeg(q.pattern.length)
-      val full = joinSegments(segs.result())
-      val c    = countsOf(q.id, full)
-      val out  = c.cache(); out.count()
-      gaps.result().foreach(_.unpersist())
-      out
-    }.reduce(_ union _)
-    val materialized = counts.cache(); materialized.count()
-    sharedRel.values.foreach(_.unpersist())
-    RunResult(materialized, constructed, (System.nanoTime() - t0) / 1e6)
-  }
+                   plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult =
+    run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
 }

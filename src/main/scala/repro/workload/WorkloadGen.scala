@@ -70,44 +70,6 @@ object WorkloadGen {
     "LindenSt" -> 0.81, "ParkAve" -> 7.21, "EastPark" -> 0.67, "ElmSt" -> 0.99,
     "GreenHill" -> 6.25)
 
-  /** Prefix-family workload: `numFamilies` independent families of
-    * `membersPerFamily` queries each; members of a family share a common
-    * pattern prefix of varying depth (cuts cycle long → short), then
-    * diverge into member-specific tails. This creates nested sharing
-    * candidates in conflict (a long prefix shared by few queries versus a
-    * short prefix shared by all) — the structure where greedy GWMIN picks
-    * sub-optimally and conflict resolution (§7.1) pays off (Example 12,
-    * Fig 16). Families use disjoint alphabets, so the Sharon graph is a
-    * disjoint union of per-family components.
-    *
-    * Type names come from the workload dictionary (use
-    * `CompiledPlan.typeDictionary`), not [[StreamGen.typeIds]].
-    */
-  def prefixFamilies(numFamilies: Int, membersPerFamily: Int, patternLen: Int,
-                     window: WindowSpec, seed: Long = 42): Workload = {
-    require(patternLen >= 4, "patternLen >= 4 needed for nested prefixes")
-    val rnd     = new Random(seed)
-    val queries = Vector.newBuilder[Query]
-    var qid     = 0
-    for (f <- 0 until numFamilies) {
-      val base = (0 until patternLen).map(i => f"F$f%03d_P$i%02d").toVector
-      // Prefix depths: two full twins, pairs at decreasing depth, floor 3.
-      val cuts = (0 until membersPerFamily).map { i =>
-        if (i < 2) patternLen
-        else math.max(3, patternLen - 2 * ((i - 2) / 2 + 1))
-      }
-      for ((cut, m) <- cuts.zipWithIndex) {
-        val tail = (cut until patternLen).map(i => f"F$f%03d_m$m%02d_$i%02d")
-        val types = base.take(cut) ++ tail
-        // Shuffle nothing: prefix structure is the point; tails are unique.
-        queries += Query(qid, Pattern(types), window)
-        qid += 1
-      }
-      rnd.nextInt() // reserved for future family-level variation
-    }
-    Workload(queries.result())
-  }
-
   /** Parametric workload over the dictionary-coded alphabet of
     * [[StreamGen]] (types `T000..T{numTypes-1}`).
     *

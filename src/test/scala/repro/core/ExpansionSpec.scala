@@ -68,6 +68,10 @@ class ExpansionSpec extends AnyFunSuite {
     assert(opts.size <= 4) // root + up to 3 generated
   }
 
+  test("maxOptions = 1 keeps every candidate as its only option: the graph is unchanged") {
+    assert(Expansion.expandGraph(g, unitWeigh, maxOptions = 1) == g)
+  }
+
   test("Example 15: expanded graph contains p1's options and singleton sets elsewhere") {
     val eg = Expansion.expandGraph(g, unitWeigh)
     val p1Opts = eg.vertices.filter(_.pattern == p1)

@@ -3,7 +3,7 @@ package repro.exec
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, OracleSql, SparkSpec}
-import repro.core.{Optimizer, SharablePatterns, SharonGraph}
+import repro.core.{Candidate, Optimizer}
 import repro.core.Model._
 import repro.workload.{StreamGen, WorkloadGen}
 
@@ -31,7 +31,6 @@ class SparkExecutorsSpec extends SparkSpec {
   private lazy val windowsDf: DataFrame =
     OracleSql.windowStarts(duration, win).toDF("ws")
 
-  private lazy val rates = StreamGen.uniformRates(nEvents, duration, nTypes)
   private lazy val realRates = Rates(typeIds.map { case (name, _) =>
     name -> nEvents.toDouble / duration / nTypes
   })
@@ -65,11 +64,26 @@ class SparkExecutorsSpec extends SparkSpec {
     val res = TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds)
     assert(res.matchesConstructed > 0)
     oracleCheck(res.counts)
+    // Non-shared: every constructed sequence is counted in exactly one window row.
+    assert(res.matchesConstructed == asMap(res.counts).values.sum)
+    assert(res.matchesConstructed == 328)
   }
 
   test("SPASS-like two-step executor matches the DuckDB oracle") {
     val res = TwoStepExecutors.runSpassLike(spark, eventsDf, workload, sharonPlan, typeIds)
     oracleCheck(res.counts)
+    assert(res.matchesConstructed == 446)
+  }
+
+  test("shared executors refuse an invalid plan: overlapping shared patterns in one query") {
+    val q = workload.queries.map(q => q.id -> q).toMap
+    val overlapping = Vector(
+      Candidate(Pattern("OakSt", "MainSt"), Vector(q(1), q(2)), 1.0),
+      Candidate(Pattern("MainSt", "StateSt"), Vector(q(1), q(5)), 1.0))
+    assertThrows[IllegalArgumentException](
+      TwoStepExecutors.runSpassLike(spark, eventsDf, workload, overlapping, typeIds))
+    assertThrows[IllegalArgumentException](
+      OnlineExecutors.runSharon(spark, events, workload, overlapping, typeIds))
   }
 
   test("all four executors agree with each other") {

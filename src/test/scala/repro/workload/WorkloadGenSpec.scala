@@ -72,19 +72,4 @@ class WorkloadGenSpec extends AnyFunSuite {
     val streets = WorkloadGen.traffic().queries.flatMap(_.pattern.types).toSet
     assert(WorkloadGen.trafficClusterRates.keySet == streets)
   }
-
-  test("prefixFamilies: members share prefixes at decreasing depths") {
-    val w = WorkloadGen.prefixFamilies(2, 6, 10, WindowSpec(600, 60))
-    assert(w.size == 12)
-    w.queries.foreach(q => assert(q.pattern.length == 10))
-    // first two members of a family are identical (full twins)
-    assert(w.queries(0).pattern == w.queries(1).pattern)
-    // all members share the length-3 root prefix
-    val root = w.queries(0).pattern.types.take(3)
-    w.queries.take(6).foreach(q => assert(q.pattern.types.take(3) == root))
-    // family alphabets are disjoint
-    val a0 = w.queries.take(6).flatMap(_.pattern.types).toSet
-    val a1 = w.queries.drop(6).flatMap(_.pattern.types).toSet
-    assert(a0.intersect(a1).isEmpty)
-  }
 }
