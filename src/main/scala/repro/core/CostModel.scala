@@ -38,14 +38,17 @@ object CostModel {
     * `Rate(E_1^i) × Rate(E_m) × Rate(E_{m+l+1}^i)`.
     *
     * The model is the paper's. The executor keeps every combination level
-    * per pane (`time / slide`): a completion touches one cell per window
-    * at the final level, and one per pane of its START's windows at an
-    * intermediate level, i.e. O(length/slide), never one per prefix
-    * START. With both a prefix and a suffix there is an intermediate
-    * level, and the triple product overstates the executor's work. When
-    * the prefix (resp. suffix) is empty there is a single, final level —
-    * a quadratic cost, matching the literal Eq 5 with the missing factor
-    * dropped. A query identical to `p` needs no combination at all.
+    * per pane (`time / slide`): at every level a completion adds one cell
+    * per current pane of its START's windows, i.e. O(length/slide), never
+    * one per prefix START; the final level sums its panes into windows
+    * once per timestamp. Its work meter still charges one unit per
+    * (completion, window) at the final level, and one per nonzero cell at
+    * an intermediate level. With both a prefix and a suffix there is an
+    * intermediate level, and the triple product overstates the executor's
+    * work. When the prefix (resp. suffix) is empty there is a single,
+    * final level — a quadratic cost, matching the literal Eq 5 with the
+    * missing factor dropped. A query identical to `p` needs no combination
+    * at all.
     */
   def comb(rates: Rates, p: Pattern, q: Query): Double = {
     val prefix = q.pattern.prefixOf(p)

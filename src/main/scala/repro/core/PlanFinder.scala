@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Sharing plan finder (paper §6, Algorithms 3 and 4).
   *
   * Traverses the lattice of *valid* sharing plans (sets of pairwise

@@ -17,14 +17,15 @@ import KeyGroupEngine._
   * of `S_j` starting at `c` complete with increment `δ`, it adds
   * `snap(c) × δ` to the combined count of `S_1..S_j`. An overall START
   * `a` (a START of `S_1`) matters only through its pane `a.time / slide`,
-  * which fixes the windows holding `a` and when it expires, so combined
-  * counts and snapshots are kept per pane, not per `a`. A snapshot lives
-  * on the START `c` it was taken at and expires with it. The END events of
-  * the last segment update the result of every window they fall into,
-  * restricted to STARTs `a` inside that window (Fig 6(b) expiration
-  * semantics), once per window per timestamp, in a dense array of window
-  * results. Each count is kept once: the combined count of `S_1` alone is
-  * `S_1`'s own count per START.
+  * which fixes the windows holding `a` and when it expires, so every
+  * combination level and every snapshot is kept per pane, not per `a`. A
+  * snapshot lives on the START `c` it was taken at and expires with it.
+  * Windows appear only where results are written: the END events of the
+  * last segment add per pane, and once per timestamp a backward pass sums
+  * the panes from each window's first pane on into that window's result
+  * (Fig 6(b) expiration semantics: only STARTs inside the window count),
+  * in a dense array of window results. Each count is kept once: the
+  * combined count of `S_1` alone is `S_1`'s own count per START.
   *
   * Timestamp ties: sequence semantics require strictly increasing times
   * (Definition 1), so events sharing a timestamp must not see each other's
@@ -38,7 +39,10 @@ import KeyGroupEngine._
   *
   * Counts are exact: an update that would overflow a `Long` throws
   * `ArithmeticException` instead of wrapping around, naming the segment
-  * and START time, or the query and window start, where it happened.
+  * and START time, or the query and window start, where it happened. Only
+  * a count the engine stores can overflow: a START's count, a pane's sum
+  * (never more than the count of the window starting at that pane) or a
+  * window result. A sum of panes that no window holds is never formed.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -133,11 +137,12 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     * sums its overall STARTs (STARTs of `S_1`) per pane. Level `j` counts
     * the matches of `S_1..S_{j+1}`: level 0 is `S_1`'s own count per
     * START, `comb(j)` for `1 <= j <= k-2` is a ring of pane-tagged cells,
-    * and level `k-1` only feeds window results. The snapshot at a START of
-    * segment `j >= 1` is kept on that START, in this query's slot, and is
-    * released when the segment drops the START. Window results are a dense
-    * array indexed by window number `windowStart / slide`, from the first
-    * window not yet emitted on.
+    * and level `k-1` is summed per pane for one timestamp only, then into
+    * window results. Every level combines the same way, in [[combine]].
+    * The snapshot at a START of segment `j >= 1` is kept on that START, in
+    * this query's slot, per pane, and is released when the segment drops
+    * the START. Window results are a dense array indexed by window number
+    * `windowStart / slide`, from the first window not yet emitted on.
     */
   final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
     private val k     = segs.size
@@ -149,7 +154,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     private val ring     = (win.lengthSec / slide).toInt + 2
     private val combPane = Array.fill(math.max(0, k - 2), ring)(-1L)
     private val combVal  = Array.fill(math.max(0, k - 2), ring)(0L)
-    private val acc = new Array[Long](ring) // this timestamp's result per window
+    private val acc = new Array[Long](ring) // this timestamp's final level per current pane
     // results(i) is the count of window number base + i, 0 if it has none
     // yet (counts are positive); windows from `top` on were never written.
     private var results = new Array[Long](ring)
@@ -161,14 +166,6 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       try Math.addExact(x, Math.multiplyExact(y, z))
       catch { case _: ArithmeticException => throw new ArithmeticException(
         s"count of query ${q.id} in the window starting at $ws overflows a Long") }
-
-    /** Turns per-pane counts from `winFirst` on into per-window counts: a
-      * START counts in every current window that starts at or before it.
-      */
-    private def suffixSum(cells: Array[Long], n: Int): Unit = {
-      var i = n - 2
-      while (i >= 0) { cells(i) = mulAdd(cells(i), cells(i + 1), 1L, winFirst + i * slide); i -= 1 }
-    }
 
     /** Phase 1: snapshot level `j-1` per pane at the new STARTs of segment
       * `j >= 1` (Fig 7: "when c3 arrives, count(A,B) = 1"); cell `i` is
@@ -197,7 +194,6 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           touched += 1; cells(c) = combVal(j - 2)(r)
         }
       }
-      if (j == k - 1) suffixSum(cells, cells.length)
       segs(j).started.foreach { c =>
         metrics.combMults += touched + cells.length
         metrics.addState(cells.length.toLong + 1)
@@ -205,61 +201,56 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       }
     }
 
-    /** Phase 3: combine segment `j`'s completions. Level `j >= 1` multiplies
-      * against the snapshot taken at its START, into `comb(j)` or, at the
-      * final level, into the windows the END falls into. A single-segment
-      * query's END adds its START's delta to every window holding that
-      * START (§3.2). Each window result is written once per timestamp.
+    /** Phase 3: combine segment `j >= 1`'s completions (level 0 is `S_1`'s
+      * own count). A completing START `c` adds `snap(c) × δ` per current
+      * pane into `comb(j)` or, at the final level, into this timestamp's
+      * per-pane sums. A single-segment query's END completes its own
+      * START: a unit snapshot at that START's pane (§3.2). The final level
+      * then suffix-sums the panes into the windows holding them, writing
+      * each window result once per timestamp.
       */
-    def combine(j: Int): Unit = {
-      val completed = segs(j).completed
-      if (j == k - 1) {
-        val n = ((winLast - winFirst) / slide).toInt + 1
-        // One work unit per (completion, window), the cost model's Comb.
-        metrics.combMults += completed.size.toLong * n
-        completed.foreach { c =>
-          if (k == 1) { // c is an overall START: bucket by pane
-            if (c.time >= winFirst) {
-              val i = ((c.time - winFirst) / slide).toInt
-              acc(i) = mulAdd(acc(i), c.delta, 1L, winFirst + i * slide)
+    def combine(j: Int): Unit = if (j > 0 || k == 1) {
+      val p0        = winFirst / slide
+      val n         = ((winLast - winFirst) / slide).toInt + 1
+      val lastLevel = j == k - 1
+      // One work unit per (completion, window) at the final level, the cost model's Comb.
+      if (lastLevel) metrics.combMults += segs(j).completed.size.toLong * n
+      segs(j).completed.foreach { c =>
+        val cells = if (k == 1) UnitSnap else c.snaps(slot(j))
+        val cp0   = if (k == 1) c.time / slide else win.firstWindowStart(c.time) / slide
+        // Panes before the current windows have expired.
+        var i = math.max(0L, p0 - cp0).toInt
+        while (i < cells.length) {
+          if (cells(i) > 0) {
+            val p = cp0 + i
+            if (lastLevel) {
+              val a = (p - p0).toInt
+              acc(a) = mulAdd(acc(a), cells(i), c.delta, p * slide)
+            } else {
+              val tags = combPane(j - 1); val vals = combVal(j - 1); val r = (p % ring).toInt
+              metrics.combMults += 1
+              if (tags(r) != p) {
+                if (tags(r) < 0) metrics.addState(1) // held from first use until dropped
+                tags(r) = p; vals(r) = 0L
+              }
+              vals(r) = mulAdd(vals(r), cells(i), c.delta, p * slide)
             }
-          } else {
-            val sums = c.snaps(slot(j))
-            val off  = ((winFirst - win.firstWindowStart(c.time)) / slide).toInt
-            var i = 0
-            while (i < n && off + i < sums.length) {
-              acc(i) = mulAdd(acc(i), sums(off + i), c.delta, winFirst + i * slide)
-              i += 1
-            }
-          }
-        }
-        if (k == 1) suffixSum(acc, n)
-        val r0 = resultCells(winFirst / slide, n)
-        var i = 0
-        while (i < n) {
-          if (acc(i) != 0) {
-            if (results(r0 + i) == 0) metrics.addState(1)
-            results(r0 + i) = mulAdd(results(r0 + i), acc(i), 1L, winFirst + i * slide)
-            acc(i) = 0L
           }
           i += 1
         }
-      } else if (j > 0) {
-        val (tags, vals) = (combPane(j - 1), combVal(j - 1))
-        completed.foreach { c =>
-          val cells = c.snaps(slot(j))
-          val cp0   = win.firstWindowStart(c.time) / slide
-          // Panes before the current windows have expired.
-          for (i <- math.max(0L, winFirst / slide - cp0).toInt until cells.length if cells(i) > 0) {
-            val p = cp0 + i
-            val r = (p % ring).toInt
-            metrics.combMults += 1
-            if (tags(r) != p) {
-              if (tags(r) < 0) metrics.addState(1) // held from first use until dropped
-              tags(r) = p; vals(r) = 0L
-            }
-            vals(r) = mulAdd(vals(r), cells(i), c.delta, p * slide)
+      }
+      if (lastLevel) {
+        val r0  = resultCells(p0, n)
+        var sum = 0L // this timestamp's count of window p0 + i: its panes from p0 + i on
+        var i   = n - 1
+        while (i >= 0) {
+          val ws = (p0 + i) * slide
+          sum = mulAdd(sum, acc(i), 1L, ws); acc(i) = 0L
+          if (sum != 0) {
+            if (results(r0 + i) == 0) metrics.addState(1)
+            results(r0 + i) = mulAdd(results(r0 + i), sum, 1L, ws)
           }
+          i -= 1
         }
       }
     }
@@ -400,6 +391,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 object KeyGroupEngine {
 
   private val NoSnaps = new Array[Array[Long]](0)
+  /** The snapshot a single-segment query's END combines with: its START alone. */
+  private val UnitSnap = Array(1L)
 
   /** Per-START-event state of one segment: `counts(j)` = number of
     * matches of the segment's first `j+1` types starting at this START

@@ -3,7 +3,7 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.Optimizer
 import repro.core.Model._
-import repro.exec.{CompiledPlan, OnlineExecutors}
+import repro.exec.OnlineExecutors
 import repro.workload.{StreamGen, WorkloadGen}
 import Harness._
 

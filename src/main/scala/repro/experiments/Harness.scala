@@ -29,11 +29,11 @@ object Harness {
     */
   def yesNo(b: Boolean): String = if (b) "yes" else "no"
 
-  /** A standalone session for [[Main]] (benches reuse the shared
-    * SparkSpec session instead).
+  /** The local session of [[Main]], and of every test and bench run
+    * (through the shared SparkSpec session).
     */
   def localSpark(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions",

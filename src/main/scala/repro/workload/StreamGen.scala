@@ -24,8 +24,8 @@ object StreamGen {
     (0 until numTypes).map(i => typeName(i) -> i).toMap
 
   /** Uniform stream: `numEvents` events spread evenly over
-    * `durationSec`, types and keys i.i.d. uniform — the taxi / e-commerce
-    * stand-in (rates are what the cost model consumes).
+    * `durationSec`, types and keys i.i.d. uniform — the taxi stand-in
+    * (rates are what the cost model consumes).
     */
   def uniform(spark: SparkSession, numEvents: Long, durationSec: Long,
               numTypes: Int, numKeys: Int, seed: Long = 7): Dataset[Event] = {
@@ -79,14 +79,6 @@ object StreamGen {
         .cast(IntegerType).as("etype"),
     ).as[Event]
   }
-
-  /** E-commerce stand-in with the paper's §8.1 parameters: 50 items,
-    * 20 customers, 3k events/s.
-    */
-  def ecommerce(spark: SparkSession, durationSec: Long, eventsPerSec: Long = 3000,
-                seed: Long = 13): Dataset[Event] =
-    uniform(spark, durationSec * eventsPerSec, durationSec,
-      numTypes = 50, numKeys = 20, seed = seed)
 
   /** Expected per-type rates (events/sec) of [[uniform]] streams — the
     * optimizer's cost-model input (Eq 1).

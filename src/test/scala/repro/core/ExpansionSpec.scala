@@ -38,7 +38,7 @@ class ExpansionSpec extends AnyFunSuite {
   test("BFS composition reaches all query subsets of size >= 2 for p1") {
     // p1's conflicts are caused by q1 (p6), q2+q4 (p4, p5), q3+q4 (p2, p3):
     // composing drops can reach every 2- and 3-subset of {q1..q4}.
-    val expected = Set(1, 2, 3, 4).subsets.filter(_.size >= 2).toSet
+    val expected = Set(1, 2, 3, 4).subsets().filter(_.size >= 2).toSet
     assert(optionSets(p1) == expected)
   }
 

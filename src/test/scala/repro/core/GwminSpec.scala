@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Model._
 
 /** GWMIN tests (Appendix B, Algorithm 8; Eq 10) including the paper's
   * Example 12 greedy plan and the guaranteed-weight property on random

@@ -286,6 +286,31 @@ class EngineSpec extends AnyFunSuite {
       assert(runEngine(cw, tenEvents(75))._1((0, 0L)) == 5631351470947265625L, name) // 75^10
   }
 
+  test("overflow: refused only where a count overflows, not in a sum of panes no window holds") {
+    // (T0..T9) is shared, so q0 = (T0..T9)|(Y,Z). 62 of each Ti at time i
+    // and 62 more at 10 + i: STARTs in pane 0 (times 0-9) count 10 × 62^10
+    // sequences, those in pane 1 count 62^10, and both panes together
+    // 11 × 62^10 > Long.MaxValue.
+    val types = tenTypes ++ Vector("Y", "Z", "W")
+    val tyIds = types.zipWithIndex.toMap
+    val w     = Workload(WindowSpec(100, 10),
+      Seq(Pattern(tenTypes :+ "Y" :+ "Z"), Pattern(tenTypes :+ "W")))
+    val plans = Seq(
+      "A-Seq" -> CompiledPlan.nonShared(w, tyIds),
+      "Sharon" -> CompiledPlan.compile(w, Seq(candidate(w, Pattern(tenTypes), Set(0, 1))), tyIds))
+    assert(plans(1)._2.queries(0).segments.map(_.types.size) == Vector(10, 2))
+    def stream(z: Long): Seq[Event] =
+      (for (t <- 0 until 10; off <- Seq(0, 10); _ <- 0 until 62) yield Event(0L, t + off.toLong, t)) ++
+        Seq(Event(0L, 20, tyIds("Y")), Event(0L, z, tyIds("Z")))
+    for ((name, cw) <- plans) withClue(name) {
+      // Z@105 lies in windows 10..100 only: pane 0 has expired.
+      assert(runEngine(cw, stream(105))._1 == Map((0, 10L) -> 839299365868340224L)) // 62^10
+      // Z@95 lies in window 0 too, whose count is 11 × 62^10.
+      val e = intercept[ArithmeticException](runEngine(cw, stream(95)))
+      assert(e.getMessage == "count of query 0 in the window starting at 0 overflows a Long")
+    }
+  }
+
   test("property: A-Seq engine equals brute force on random streams") {
     val win = WindowSpec(12, 4)
     val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))

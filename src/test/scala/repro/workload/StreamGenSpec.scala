@@ -44,13 +44,6 @@ class StreamGenSpec extends SparkSpec {
     assert(secondHalf > firstHalf * 2) // density grows with time
   }
 
-  test("ecommerce: paper's §8.1 parameters (50 items, 20 customers, 3k ev/s)") {
-    val ev = StreamGen.ecommerce(spark, durationSec = 10).collect()
-    assert(ev.length == 30000)
-    assert(ev.map(_.etype).distinct.length == 50)
-    assert(ev.map(_.key).distinct.length == 20)
-  }
-
   test("uniformRates matches the empirical per-type rate") {
     val r  = StreamGen.uniformRates(10000, 1000, 4)
     assert(math.abs(r(StreamGen.typeName(0)) - 2.5) < 1e-9)
