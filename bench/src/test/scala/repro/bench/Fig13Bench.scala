@@ -10,13 +10,13 @@ import repro.experiments.Fig13TwoStepVsOnline
   */
 class Fig13Bench extends SparkSpec {
 
-  private val params = Fig13TwoStepVsOnline.Params()
-  private lazy val points = Fig13TwoStepVsOnline.run(spark, params)
+  private val sweep = Fig13TwoStepVsOnline.sweep
+  private lazy val points = Fig13TwoStepVsOnline.run(spark, sweep)
   private def at(epw: Int) = points.find(_.eventsPerWindow == epw).get
 
   test("Fig 13 table: latency and throughput per approach") {
     println(Fig13TwoStepVsOnline.table(points).render)
-    assert(points.size == params.eventsPerWindow.size)
+    assert(points.size == sweep.size)
   }
 
   test("shape: online beats two-step decisively at the largest completed point") {

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Fig14OnlineApproaches
-import repro.experiments.Fig14OnlineApproaches.Params
+import repro.experiments.Fig14OnlineApproaches.Point
 
 /** Figure 14 bench: A-Seq vs Sharon across the three paper sweeps.
   * Prints the reproduction tables and asserts the paper's shape: Sharon's
@@ -11,18 +11,22 @@ import repro.experiments.Fig14OnlineApproaches.Params
   */
 class Fig14Bench extends SparkSpec {
 
-  private val p = Params()
-  private lazy val queriesTable = Fig14OnlineApproaches.runQueriesSweep(spark, p)
+  private def sweep(name: String) = Fig14OnlineApproaches.sweeps.find(_.name == name).get
+  private def printed(name: String): Seq[Point] = {
+    val s   = sweep(name)
+    val pts = Fig14OnlineApproaches.run(spark, s)
+    println(Fig14OnlineApproaches.table(s, pts).render)
+    pts
+  }
+  private def workRatio(pt: Point) = pt.aseqWork.toDouble / pt.sharonWork
+  private lazy val queriesPoints = printed("queries")
 
   test("Fig 14(a,e) table: events-per-window sweep") {
-    val t = Fig14OnlineApproaches.runEventsSweep(spark, p)
-    println(t.render)
-    assert(t.rows.size == p.eventsPerWindow.size)
+    assert(printed("events").size == sweep("events").settings.size)
   }
 
   test("Fig 14(b,d,f) table: query-count sweep; Sharon work advantage grows") {
-    println(queriesTable.render)
-    val workRatios = queriesTable.rows.map(r => r(8).toDouble) // work ratio column
+    val workRatios = queriesPoints.map(workRatio)
     info(s"work ratios across query counts: $workRatios")
     assert(workRatios.forall(_ >= 1.0), "sharing must never add model work")
     assert(workRatios.last > workRatios.head,
@@ -30,15 +34,13 @@ class Fig14Bench extends SparkSpec {
   }
 
   test("Fig 14(c,g,h) table: pattern-length sweep") {
-    val t = Fig14OnlineApproaches.runLengthSweep(spark, p)
-    println(t.render)
-    val workRatios = t.rows.map(r => r(8).toDouble)
-    assert(workRatios.forall(_ >= 1.0))
+    assert(printed("length").map(workRatio).forall(_ >= 1.0))
   }
 
   test("shape: Sharon uses less peak memory than A-Seq at high query counts") {
-    val memRatio = queriesTable.rows.find(_.head == "queries=80").get(11).toDouble
-    info(s"A-Seq/Sharon memory ratio at 80 queries: $memRatio")
+    val pt       = queriesPoints.find(_.setting.queries == 80).get
+    val memRatio = pt.aseqMem.toDouble / pt.sharonMem
+    info(f"A-Seq/Sharon memory ratio at 80 queries: $memRatio%.2f")
     assert(memRatio > 1.0)
   }
 }

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.experiments.Fig15OptimizerComparison
-import repro.experiments.Fig15OptimizerComparison.Params
 
 /** Figure 15 bench (pure compile-time; no Spark): GO vs SO vs EO.
   * Prints the reproduction table and asserts the paper's shape: GO is the
@@ -11,44 +10,41 @@ import repro.experiments.Fig15OptimizerComparison.Params
   */
 class Fig15Bench extends AnyFunSuite {
 
-  private val p = Params()
-  private lazy val table = Fig15OptimizerComparison.run(p)
+  private val sweep = Fig15OptimizerComparison.sweep
+  private lazy val points = Fig15OptimizerComparison.run(sweep)
 
   test("Fig 15 table: optimizer latency/memory per query count") {
-    println(table.render)
-    assert(table.rows.size == p.numQueries.size)
+    println(Fig15OptimizerComparison.table(points).render)
+    assert(points.size == sweep.size)
   }
 
   test("shape: GO is always the fastest optimizer") {
-    table.rows.foreach { r =>
-      val goMs = r(1).toDouble
-      val soMs = r(2).toDouble
-      assert(goMs <= soMs, s"GO ($goMs) should not exceed SO ($soMs) at ${r(0)} queries")
+    points.foreach { pt =>
+      val (goMs, soMs) = (pt.go.totalMillis, pt.so.totalMillis)
+      assert(goMs <= soMs, s"GO ($goMs) should not exceed SO ($soMs) at ${pt.queries} queries")
     }
   }
 
   test("shape: SO plan score is never below GO's") {
-    table.rows.foreach { r =>
-      val goScore = r(7).toDouble
-      val soScore = r(8).stripSuffix("*").toDouble
-      assert(soScore + 1e-6 >= goScore, s"at ${r(0)} queries")
+    points.foreach { pt =>
+      assert(pt.so.score + 1e-6 >= pt.go.score, s"at ${pt.queries} queries")
     }
   }
 
   test("shape: EO equals SO score where it completes, and DNFs at scale") {
-    val completed = table.rows.filter(r => r(3) != "DNF")
-    completed.foreach { r =>
-      assert(math.abs(r(8).stripSuffix("*").toDouble - r(9).toDouble) < 1e-6,
-        s"EO and SO disagree at ${r(0)} queries")
+    val completed = points.filter(_.eo.completed)
+    completed.foreach { pt =>
+      assert(math.abs(pt.so.score - pt.eo.score) < 1e-6,
+        s"EO and SO disagree at ${pt.queries} queries")
     }
-    val dnfs = table.rows.count(r => r(3) == "DNF")
+    val dnfs = points.size - completed.size
     info(s"EO completed on ${completed.size} points, DNF on $dnfs")
     assert(dnfs >= 1, "EO should fail beyond small workloads (paper: >20 queries)")
   }
 
   test("shape: EO latency dwarfs GO where both complete") {
-    table.rows.filter(r => r(3) != "DNF").foreach { r =>
-      assert(r(3).toDouble >= r(1).toDouble, s"at ${r(0)} queries")
+    points.filter(_.eo.completed).foreach { pt =>
+      assert(pt.eo.totalMillis >= pt.go.totalMillis, s"at ${pt.queries} queries")
     }
   }
 }

@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.experiments.Fig16PlanQuality
-import repro.experiments.Fig16PlanQuality.Params
 
 /** Figure 16 bench: Sharon executor guided by a greedy vs an optimal
   * sharing plan. Prints the reproduction table and asserts the paper's
@@ -11,22 +10,22 @@ import repro.experiments.Fig16PlanQuality.Params
   */
 class Fig16Bench extends SparkSpec {
 
-  private val p = Params()
-  private lazy val table = Fig16PlanQuality.run(spark, p)
+  private val sweep = Fig16PlanQuality.sweep
+  private lazy val points = Fig16PlanQuality.run(spark, sweep)
 
   test("Fig 16 table: executor under greedy vs optimal plan") {
-    println(table.render)
-    assert(table.rows.size == p.numClusters.size)
+    println(Fig16PlanQuality.table(points).render)
+    assert(points.size == sweep.size)
   }
 
   test("shape: optimal plan score >= greedy plan score everywhere") {
-    table.rows.foreach { r =>
-      assert(r(2).toDouble + 1e-6 >= r(1).toDouble, s"at ${r(0)} queries")
+    points.foreach { pt =>
+      assert(pt.so.score + 1e-6 >= pt.go.score, s"at ${pt.queries} queries")
     }
   }
 
   test("shape: optimal plan does not increase model work; helps at scale") {
-    val workRatios = table.rows.map(r => r(11).toDouble) // greedy/optimal work
+    val workRatios = points.map(pt => pt.greedy.workUnits.toDouble / pt.optimal.workUnits)
     info(s"greedy/optimal work ratios: $workRatios")
     assert(workRatios.forall(_ >= 0.95))
     assert(workRatios.max > 1.0,

@@ -120,9 +120,8 @@ object SharonGraph {
     */
   def construct(rates: Rates, sharable: Map[Pattern, Vector[Query]]): SharonGraph = {
     val candidates = sharable.iterator.collect {
-      case (p, qs) if qs.size > 1 && CostModel.bValue(rates, p, qs) > 0 =>
-        Candidate(p, qs, CostModel.bValue(rates, p, qs))
-    }.toVector
+      case (p, qs) if qs.size > 1 => Candidate(p, qs, CostModel.bValue(rates, p, qs))
+    }.filter(_.weight > 0).toVector
     fromCandidates(candidates)
   }
 }

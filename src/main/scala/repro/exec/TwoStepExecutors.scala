@@ -1,7 +1,7 @@
 package repro.exec
 
 import scala.collection.mutable
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.Candidate
 import repro.core.Model._
@@ -53,7 +53,7 @@ object TwoStepExecutors {
     * query. `matchesConstructed` counts the rows of every relation built
     * — the step that makes two-step approaches blow up (Fig 13).
     */
-  def run(spark: SparkSession, events: DataFrame, cw: CompiledWorkload): RunResult = {
+  def run(events: DataFrame, cw: CompiledWorkload): RunResult = {
     val t0          = System.nanoTime()
     val win         = cw.window
     val windowsOf   = udf((t: Long) => win.windowsOf(t)) // each event in every window holding it
@@ -87,15 +87,15 @@ object TwoStepExecutors {
   /** Flink-like executor: non-shared sequence construction + aggregation
     * per query.
     */
-  def runFlinkLike(spark: SparkSession, events: DataFrame, workload: Workload,
+  def runFlinkLike(events: DataFrame, workload: Workload,
                    typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.nonShared(workload, typeIds))
+    run(events, CompiledPlan.nonShared(workload, typeIds))
 
   /** SPASS-like executor: match relations of the plan's shared patterns
     * are built once and reused; aggregation stays per query. An invalid
     * plan is refused by [[CompiledPlan.compile]].
     */
-  def runSpassLike(spark: SparkSession, events: DataFrame, workload: Workload,
+  def runSpassLike(events: DataFrame, workload: Workload,
                    plan: Seq[Candidate], typeIds: Map[EventType, Int]): RunResult =
-    run(spark, events, CompiledPlan.compile(workload, plan, typeIds))
+    run(events, CompiledPlan.compile(workload, plan, typeIds))
 }

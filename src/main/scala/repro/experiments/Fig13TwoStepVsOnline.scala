@@ -14,21 +14,21 @@ import Harness._
   * Paper setting: LR data set, up to 7k events/window; Flink fails above
   * 6k, SPASS above 7k (41 min/window), online approaches are ~5 orders of
   * magnitude faster. Scaled here: the traffic workload q1–q7 over a
-  * 60 s / 30 s window; two-step runs above `twoStepCutoff` events/window
+  * 60 s / 30 s window; two-step runs above `TwoStepCutoff` events/window
   * are reported DNF instead of hanging the bench (the paper reports the
   * same as "does not terminate").
   */
 object Fig13TwoStepVsOnline {
 
-  final case class Params(
-      eventsPerWindow: Seq[Int] = Seq(500, 1000, 2000, 4000, 8000),
-      twoStepCutoff: Int = 8000,
-      window: WindowSpec = WindowSpec(60, 30),
-      numKeys: Int = 20,
-      seed: Long = 17)
+  /** Events per window of each point. */
+  val sweep: Seq[Int] = Seq(500, 1000, 2000, 4000, 8000)
+  private val TwoStepCutoff = 8000
+  private val Window = WindowSpec(60, 30)
+  private val NumKeys = 20
+  private val Seed = 17L
 
   /** One events/window point. Two-step fields are `None` (DNF) above
-    * `twoStepCutoff`; `*Constructed` counts the sequences each two-step
+    * `TwoStepCutoff`; `*Constructed` counts the sequences each two-step
     * baseline materialized.
     */
   final case class Point(eventsPerWindow: Int, events: Long, queries: Int,
@@ -36,43 +36,39 @@ object Fig13TwoStepVsOnline {
                          aseqMs: Double, sharonMs: Double,
                          flinkConstructed: Option[Long], spassConstructed: Option[Long])
 
-  def run(spark: SparkSession, p: Params = Params()): Seq[Point] = {
-    val workload = WorkloadGen.traffic(p.window)
+  def run(spark: SparkSession, eventsPerWindow: Seq[Int]): Seq[Point] = {
+    val workload = WorkloadGen.traffic(Window)
     val typeIds  = CompiledPlan.typeDictionary(workload)
     val nTypes   = typeIds.size
-    val duration = p.window.lengthSec * 2
-    def point(epw: Int, seed: Long): Point = {
-      val nEvents = epw.toLong * duration / p.window.lengthSec
-      val events = StreamGen.linearRoadLike(
-        spark, nEvents, duration, nTypes, p.numKeys, seed).cache()
-      events.count()
-      val eventsDf = events.toDF()
-      // Per-window rate units (see StreamGen.perWindowRates).
-      val rates = Rates(typeIds.map { case (n, _) =>
-        n -> epw.toDouble / nTypes })
-      val plan = Optimizer.sharon(workload, rates).plan
-      val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-      val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
-      val twoStep =
-        if (epw > p.twoStepCutoff) None
-        else Some((TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds),
-          TwoStepExecutors.runSpassLike(spark, eventsDf, workload, plan, typeIds)))
-      events.unpersist()
-      Point(epw, nEvents, workload.size,
-        twoStep.map(_._1.millis), twoStep.map(_._2.millis), a.millis, s.millis,
-        twoStep.map(_._1.matchesConstructed), twoStep.map(_._2.matchesConstructed))
+    val duration = Window.lengthSec * 2
+    def point(epw: Int): Point = {
+      val nEvents = epw.toLong * duration / Window.lengthSec
+      withCached(StreamGen.linearRoadLike(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
+        val eventsDf = events.toDF()
+        // Per-window rate units (see StreamGen.perWindowRates).
+        val rates = Rates(typeIds.map { case (n, _) =>
+          n -> epw.toDouble / nTypes })
+        val plan = Optimizer.sharon(workload, rates).plan
+        val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+        val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
+        val twoStep = Option.when(epw <= TwoStepCutoff)(
+          (TwoStepExecutors.runFlinkLike(eventsDf, workload, typeIds),
+            TwoStepExecutors.runSpassLike(eventsDf, workload, plan, typeIds)))
+        Point(epw, nEvents, workload.size,
+          twoStep.map(_._1.millis), twoStep.map(_._2.millis), a.millis, s.millis,
+          twoStep.map(_._1.matchesConstructed), twoStep.map(_._2.matchesConstructed))
+      }
     }
-    // Warm up Spark/JIT with all four executors, Sharon and SPASS-like
-    // with a sharing plan, on 100 events (50 per window), so the first
-    // measured point is not inflated by classloading and first-job overheads.
-    point(50, seed = 1)
-    p.eventsPerWindow.map(point(_, p.seed))
+    // While Spark and the JIT warm up, a point's time follows its position
+    // in the sweep, not its size: the first pass is discarded, and only
+    // the second, at steady state, is reported.
+    eventsPerWindow.foreach(point)
+    eventsPerWindow.map(point)
   }
 
   def table(points: Seq[Point]): ExperimentTable = {
     val rows = points.map { pt =>
-      def thr(msTotal: Double): String =
-        if (msTotal <= 0) "-" else f"${pt.events * pt.queries / (msTotal / 1000)}%.0f"
+      def thr(millis: Double) = throughput(pt.events, pt.queries, millis)
       Seq(pt.eventsPerWindow.toString,
         pt.flinkMs.map(ms).getOrElse("DNF"), pt.spassMs.map(ms).getOrElse("DNF"),
         ms(pt.aseqMs), ms(pt.sharonMs),

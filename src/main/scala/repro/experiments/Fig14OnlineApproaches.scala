@@ -20,78 +20,65 @@ import Harness._
   */
 object Fig14OnlineApproaches {
 
-  final case class Params(
-      eventsPerWindow: Seq[Int] = Seq(10000, 20000, 40000, 60000),
-      numQueries: Seq[Int] = Seq(20, 40, 80, 120),
-      patternLengths: Seq[Int] = Seq(10, 15, 20, 30),
-      defaultEpw: Int = 20000,
-      defaultQueries: Int = 20,
-      defaultLen: Int = 10,
-      numKeys: Int = 64,
-      numBackbones: Int = 2,
-      window: WindowSpec = WindowSpec(60, 6),
-      seed: Long = 23)
+  private val DefaultEpw     = 20000
+  private val DefaultQueries = 20
+  private val DefaultLen     = 10
+  private val NumKeys        = 64
+  private val NumBackbones   = 2
+  private val Window         = WindowSpec(60, 6)
+  private val Seed           = 23L
 
-  final case class Point(x: String, aseqMs: Double, sharonMs: Double,
+  /** One sweep: its name on the command line, its table title, and per
+    * point the row label, events per window, queries and pattern length.
+    */
+  final case class Sweep(name: String, title: String, settings: Seq[Setting])
+  final case class Setting(label: String, epw: Int, queries: Int, len: Int)
+
+  val sweeps: Seq[Sweep] = Seq(
+    Sweep("events", "Fig 14(a,e): latency/throughput vs events per window (20 queries, len 10)",
+      Seq(10000, 20000, 40000, 60000).map(e => Setting(s"epw=$e", e, DefaultQueries, DefaultLen))),
+    Sweep("queries", "Fig 14(b,d,f): latency/memory vs number of queries (epw=20k, len 10)",
+      Seq(20, 40, 80, 120).map(q => Setting(s"queries=$q", DefaultEpw, q, DefaultLen))),
+    Sweep("length", "Fig 14(c,g,h): latency/memory vs pattern length (epw=20k, 20 queries)",
+      Seq(10, 15, 20, 30).map(l => Setting(s"len=$l", DefaultEpw, DefaultQueries, l))))
+
+  final case class Point(setting: Setting, aseqMs: Double, sharonMs: Double,
                          aseqWork: Long, sharonWork: Long,
-                         aseqMem: Long, sharonMem: Long, events: Long, queries: Int,
+                         aseqMem: Long, sharonMem: Long, events: Long,
                          soCompleted: Boolean)
 
-  private def point(spark: SparkSession, p: Params,
-                    epw: Int, nq: Int, len: Int, label: String): Point = {
+  def run(spark: SparkSession, sweep: Sweep): Seq[Point] = sweep.settings.map { st =>
     // A tight alphabet around the pattern length keeps query overlap high
     // (the paper's workloads are "similar to q1–q7": many near-duplicate
     // route slices), which is where sharing pays off.
-    val nTypes   = len + 6
-    val duration = p.window.lengthSec * 2
-    val nEvents  = epw.toLong * duration / p.window.lengthSec
-    val workload = WorkloadGen.generate(nq, len, nTypes, p.numBackbones, p.window, p.seed)
+    val nTypes   = st.len + 6
+    val duration = Window.lengthSec * 2
+    val nEvents  = st.epw.toLong * duration / Window.lengthSec
+    val workload = WorkloadGen.generate(st.queries, st.len, nTypes, NumBackbones, Window, Seed)
     val typeIds  = StreamGen.typeIds(nTypes)
     // Cost-model rates in events/window (dimensionally consistent units
     // for Eq 5 — see StreamGen.perWindowRates).
-    val rates    = StreamGen.perWindowRates(epw, nTypes)
+    val rates    = StreamGen.perWindowRates(st.epw, nTypes)
     val so = Optimizer.sharon(workload, rates, maxOptions = 64, maxLevelWidth = 50000)
-    val events = StreamGen.uniform(spark, nEvents, duration, nTypes, p.numKeys, p.seed).cache()
-    events.count()
-    val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
-    val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)
-    events.unpersist()
-    Point(label, a.millis, s.millis, a.metrics.workUnits, s.metrics.workUnits,
-      a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, nq, so.completed)
+    withCached(StreamGen.uniform(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
+      val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
+      val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)
+      Point(st, a.millis, s.millis, a.metrics.workUnits, s.metrics.workUnits,
+        a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, so.completed)
+    }
   }
 
-  private def row(pt: Point): Seq[String] = {
-    def thr(msTotal: Double): String =
-      f"${pt.events * pt.queries / (msTotal / 1000)}%.0f"
-    Seq(pt.x, ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
-      thr(pt.aseqMs), thr(pt.sharonMs),
-      pt.aseqWork.toString, pt.sharonWork.toString, ratio(pt.aseqWork.toDouble, pt.sharonWork.toDouble),
-      pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble),
-      yesNo(pt.soCompleted))
-  }
-
-  private val header = Seq("x", "A-Seq ms", "Sharon ms", "speedup",
-    "A-Seq ev/s", "Sharon ev/s", "A-Seq work", "Sharon work", "work ratio",
-    "A-Seq mem", "Sharon mem", "mem ratio", "SO complete")
-
-  def runEventsSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
-    ExperimentTable(
-      "Fig 14(a,e): latency/throughput vs events per window (20 queries, len 10)",
-      header,
-      p.eventsPerWindow.map(e =>
-        row(point(spark, p, e, p.defaultQueries, p.defaultLen, s"epw=$e"))))
-
-  def runQueriesSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
-    ExperimentTable(
-      "Fig 14(b,d,f): latency/memory vs number of queries (epw=20k, len 10)",
-      header,
-      p.numQueries.map(q =>
-        row(point(spark, p, p.defaultEpw, q, p.defaultLen, s"queries=$q"))))
-
-  def runLengthSweep(spark: SparkSession, p: Params = Params()): ExperimentTable =
-    ExperimentTable(
-      "Fig 14(c,g,h): latency/memory vs pattern length (epw=20k, 20 queries)",
-      header,
-      p.patternLengths.map(l =>
-        row(point(spark, p, p.defaultEpw, p.defaultQueries, l, s"len=$l"))))
+  def table(sweep: Sweep, points: Seq[Point]): ExperimentTable =
+    ExperimentTable(sweep.title,
+      Seq("x", "A-Seq ms", "Sharon ms", "speedup",
+        "A-Seq ev/s", "Sharon ev/s", "A-Seq work", "Sharon work", "work ratio",
+        "A-Seq mem", "Sharon mem", "mem ratio", "SO complete"),
+      points.map { pt =>
+        def thr(millis: Double) = throughput(pt.events, pt.setting.queries, millis)
+        Seq(pt.setting.label, ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
+          thr(pt.aseqMs), thr(pt.sharonMs),
+          pt.aseqWork.toString, pt.sharonWork.toString, ratio(pt.aseqWork.toDouble, pt.sharonWork.toDouble),
+          pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble),
+          yesNo(pt.soCompleted))
+      })
 }

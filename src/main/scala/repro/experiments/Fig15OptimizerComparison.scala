@@ -17,45 +17,46 @@ import Harness._
   */
 object Fig15OptimizerComparison {
 
-  final case class Params(
-      numQueries: Seq[Int] = Seq(10, 20, 30, 50, 70),
-      patternLen: Int = 8,
-      numTypes: Int = 50,
-      numBackbones: Int = 3,
-      window: WindowSpec = WindowSpec(1200, 60),
-      // Total stream rate in events per window (~3k ev/s over a 1200 s
-      // window), split uniformly over the items — the per-window rate
-      // units of the cost model (StreamGen.perWindowRates).
-      totalEventsPerWindow: Double = 3000.0 * 1200,
-      maxOptions: Int = 64,
-      eoDeadlineMs: Long = 20000,
-      eoMaxPlans: Long = 1L << 24,
-      soMaxLevelWidth: Long = 100000,
-      seed: Long = 29)
+  /** Number of queries of each point. */
+  val sweep: Seq[Int] = Seq(10, 20, 30, 50, 70)
+  private val PatternLen   = 8
+  private val NumTypes     = 50
+  private val NumBackbones = 3
+  private val Window       = WindowSpec(1200, 60)
+  // Total stream rate in events per window (~3k ev/s over a 1200 s
+  // window), split uniformly over the items — the per-window rate
+  // units of the cost model (StreamGen.perWindowRates).
+  private val TotalEventsPerWindow = 3000.0 * 1200
+  private val MaxOptions      = 64
+  private val EoDeadlineMs    = 20000L
+  private val EoMaxPlans      = 1L << 24
+  private val SoMaxLevelWidth = 100000L
+  private val Seed            = 29L
 
-  def run(p: Params = Params()): ExperimentTable = {
-    val rates = Rates((0 until p.numTypes)
-      .map(i => StreamGen.typeName(i) -> p.totalEventsPerWindow / p.numTypes).toMap)
+  /** One query-count point: the three optimizers' results. */
+  final case class Point(queries: Int, go: Optimizer.Result, so: Optimizer.Result,
+                         eo: Optimizer.Result)
+
+  def run(numQueries: Seq[Int]): Seq[Point] = {
+    val rates = Rates((0 until NumTypes)
+      .map(i => StreamGen.typeName(i) -> TotalEventsPerWindow / NumTypes).toMap)
+    def point(nq: Int, seed: Long): Point = {
+      val w = WorkloadGen.generate(nq, PatternLen, NumTypes, NumBackbones, Window, seed)
+      Point(nq, Optimizer.greedy(w, rates),
+        Optimizer.sharon(w, rates, maxOptions = MaxOptions, maxLevelWidth = SoMaxLevelWidth),
+        Optimizer.exhaustive(w, rates,
+          maxOptions = MaxOptions, maxPlans = EoMaxPlans, deadlineMs = EoDeadlineMs))
+    }
     // JIT warm-up on a small workload so the first measured point does
     // not pay classloading/compilation.
-    locally {
-      val w0 = WorkloadGen.generate(6, p.patternLen, p.numTypes, p.numBackbones,
-        p.window, p.seed + 1)
-      Optimizer.greedy(w0, rates)
-      Optimizer.sharon(w0, rates, maxOptions = 8, maxLevelWidth = 1000)
-      Optimizer.exhaustive(w0, rates, maxOptions = 8, maxPlans = 1L << 16,
-        deadlineMs = 2000)
-    }
-    val rows = p.numQueries.map { nq =>
-      val w = WorkloadGen.generate(nq, p.patternLen, p.numTypes, p.numBackbones,
-        p.window, p.seed)
-      val go = Optimizer.greedy(w, rates)
-      val so = Optimizer.sharon(w, rates,
-        maxOptions = p.maxOptions, maxLevelWidth = p.soMaxLevelWidth)
-      val eo = Optimizer.exhaustive(w, rates,
-        maxOptions = p.maxOptions, maxPlans = p.eoMaxPlans, deadlineMs = p.eoDeadlineMs)
-      def phased(r: Optimizer.Result): String =
-        r.phases.map(ph => f"${ph.name.split(" ").last}:${ph.millis}%.0f").mkString("+")
+    point(6, Seed + 1)
+    numQueries.map(point(_, Seed))
+  }
+
+  def table(points: Seq[Point]): ExperimentTable = {
+    def phased(r: Optimizer.Result): String =
+      r.phases.map(ph => f"${ph.name.split(" ").last}:${ph.millis}%.0f").mkString("+")
+    val rows = points.map { case Point(nq, go, so, eo) =>
       Seq(nq.toString,
         ms(go.totalMillis), ms(so.totalMillis),
         if (eo.completed) ms(eo.totalMillis) else "DNF",

@@ -3,7 +3,7 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.Optimizer
 import repro.core.Model._
-import repro.exec.{CompiledPlan, OnlineExecutors}
+import repro.exec.{CompiledPlan, EngineMetrics, OnlineExecutors}
 import repro.workload.{StreamGen, WorkloadGen}
 import Harness._
 
@@ -22,18 +22,25 @@ import Harness._
   */
 object Fig16PlanQuality {
 
-  final case class Params(
-      numClusters: Seq[Int] = Seq(3, 9, 17, 26), // ×7 queries: 21..182
-      numKeys: Int = 64,
-      window: WindowSpec = WindowSpec(60, 6),
-      maxOptions: Int = 64,
-      soMaxLevelWidth: Long = 50000,
-      seed: Long = 31)
+  /** Number of traffic clusters of each point, ×7 queries: 21..182. */
+  val sweep: Seq[Int] = Seq(3, 9, 17, 26)
+  private val NumKeys         = 64
+  private val Window          = WindowSpec(60, 6)
+  private val MaxOptions      = 64
+  private val SoMaxLevelWidth = 50000L
+  private val Seed            = 31L
 
-  def run(spark: SparkSession, p: Params = Params()): ExperimentTable = {
-    val duration = p.window.lengthSec * 2
-    val rows = p.numClusters.map { nc =>
-      val w       = WorkloadGen.trafficClusters(nc, p.window)
+  /** One workload size: both optimizers' results, and the executor's
+    * wall-clock and meters under each one's plan.
+    */
+  final case class Point(queries: Int, go: Optimizer.Result, so: Optimizer.Result,
+                         greedyMs: Double, optimalMs: Double,
+                         greedy: EngineMetrics, optimal: EngineMetrics)
+
+  def run(spark: SparkSession, numClusters: Seq[Int]): Seq[Point] = {
+    val duration = Window.lengthSec * 2
+    numClusters.map { nc =>
+      val w       = WorkloadGen.trafficClusters(nc, Window)
       val typeIds = CompiledPlan.typeDictionary(w)
       // Cost-model rates are per (window, key): the executor's state is
       // partitioned by the [vehicle] predicate, so per-key magnitudes
@@ -42,34 +49,36 @@ object Fig16PlanQuality {
       val rates = Rates(typeIds.keys.map { t =>
         t -> profile(t.dropWhile(_ != '_').drop(1))
       }.toMap)
-      val epw     = rates.perType.values.sum * p.numKeys
-      val nEvents = (epw * duration / p.window.lengthSec).toLong
+      val epw     = rates.perType.values.sum * NumKeys
+      val nEvents = (epw * duration / Window.lengthSec).toLong
       // Weighted stream matching the rate profile (dictionary order).
       val weights = typeIds.toSeq.sortBy(_._2).map { case (t, _) => rates(t) }
         .toIndexedSeq
-      val events = StreamGen.weighted(spark, nEvents, duration, weights,
-        p.numKeys, p.seed).cache()
-      events.count()
-      val greedy = Optimizer.greedy(w, rates)
-      val sharon = Optimizer.sharon(w, rates,
-        maxOptions = p.maxOptions, maxLevelWidth = p.soMaxLevelWidth)
-      val g = OnlineExecutors.runSharon(spark, events, w, greedy.plan, typeIds)
-      val s = OnlineExecutors.runSharon(spark, events, w, sharon.plan, typeIds)
-      events.unpersist()
-      Seq(w.size.toString,
-        f"${greedy.score}%.3g", f"${sharon.score}%.3g",
-        ms(g.millis), ms(s.millis), ratio(g.millis, s.millis),
-        g.metrics.peakStateUnits.toString, s.metrics.peakStateUnits.toString,
-        ratio(g.metrics.peakStateUnits.toDouble, s.metrics.peakStateUnits.toDouble),
-        g.metrics.workUnits.toString, s.metrics.workUnits.toString,
-        ratio(g.metrics.workUnits.toDouble, s.metrics.workUnits.toDouble),
-        yesNo(sharon.completed))
+      withCached(StreamGen.weighted(spark, nEvents, duration, weights, NumKeys, Seed)) { events =>
+        val go = Optimizer.greedy(w, rates)
+        val so = Optimizer.sharon(w, rates, maxOptions = MaxOptions, maxLevelWidth = SoMaxLevelWidth)
+        val g = OnlineExecutors.runSharon(spark, events, w, go.plan, typeIds)
+        val s = OnlineExecutors.runSharon(spark, events, w, so.plan, typeIds)
+        Point(w.size, go, so, g.millis, s.millis, g.metrics, s.metrics)
+      }
     }
+  }
+
+  def table(points: Seq[Point]): ExperimentTable =
     ExperimentTable(
       "Fig 16: executor under greedy vs optimal plan (taxi-like stream)",
       Seq("queries", "GO score", "SO score", "greedy ms", "optimal ms", "lat ratio",
         "greedy mem", "optimal mem", "mem ratio",
         "greedy work", "optimal work", "work ratio", "SO complete"),
-      rows)
-  }
+      points.map { pt =>
+        val (g, s) = (pt.greedy, pt.optimal)
+        Seq(pt.queries.toString,
+          f"${pt.go.score}%.3g", f"${pt.so.score}%.3g",
+          ms(pt.greedyMs), ms(pt.optimalMs), ratio(pt.greedyMs, pt.optimalMs),
+          g.peakStateUnits.toString, s.peakStateUnits.toString,
+          ratio(g.peakStateUnits.toDouble, s.peakStateUnits.toDouble),
+          g.workUnits.toString, s.workUnits.toString,
+          ratio(g.workUnits.toDouble, s.workUnits.toDouble),
+          yesNo(pt.so.completed))
+      })
 }

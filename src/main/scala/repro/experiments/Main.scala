@@ -24,29 +24,27 @@ object Main {
   def parse(args: Seq[String]): Either[String, Seq[() => ExperimentTable]] = {
     lazy val spark = Harness.localSpark(s"sharon-${args.head}")
     val sizes = args.drop(1).map(_.toIntOption.filter(_ > 0))
-    // A figure's default Params without sizes; None on a malformed one.
-    def sized[P](default: P)(withSizes: Seq[Int] => P): Option[P] =
+    // The arguments' sweep, or the figure's own; None on a malformed one.
+    def sweep(default: Seq[Int]): Option[Seq[Int]] =
       if (sizes.contains(None)) None
-      else Some(if (sizes.isEmpty) default else withSizes(sizes.flatten))
-    val fig14 = Seq(
-      "events"  -> (() => Fig14OnlineApproaches.runEventsSweep(spark)),
-      "queries" -> (() => Fig14OnlineApproaches.runQueriesSweep(spark)),
-      "length"  -> (() => Fig14OnlineApproaches.runLengthSweep(spark)))
+      else Some(if (sizes.isEmpty) default else sizes.flatten)
     val tables: Option[Seq[() => ExperimentTable]] = args.headOption match {
       case Some("fig13") =>
-        sized(Fig13TwoStepVsOnline.Params())(v => Fig13TwoStepVsOnline.Params(eventsPerWindow = v))
-          .map(p => Seq(() => Fig13TwoStepVsOnline.table(Fig13TwoStepVsOnline.run(spark, p))))
-      case Some("fig14") => args.drop(1) match {
-        case Seq() | Seq("all") => Some(fig14.map(_._2))
-        case Seq(which)         => fig14.toMap.get(which).map(Seq(_))
-        case _                  => None
-      }
+        sweep(Fig13TwoStepVsOnline.sweep).map(v =>
+          Seq(() => Fig13TwoStepVsOnline.table(Fig13TwoStepVsOnline.run(spark, v))))
+      case Some("fig14") =>
+        val sweeps = Fig14OnlineApproaches.sweeps
+        (args.drop(1) match {
+          case Seq() | Seq("all") => Some(sweeps)
+          case Seq(name)          => sweeps.find(_.name == name).map(Seq(_))
+          case _                  => None
+        }).map(_.map(s => () => Fig14OnlineApproaches.table(s, Fig14OnlineApproaches.run(spark, s))))
       case Some("fig15") =>
-        sized(Fig15OptimizerComparison.Params())(v => Fig15OptimizerComparison.Params(numQueries = v))
-          .map(p => Seq(() => Fig15OptimizerComparison.run(p)))
+        sweep(Fig15OptimizerComparison.sweep).map(v =>
+          Seq(() => Fig15OptimizerComparison.table(Fig15OptimizerComparison.run(v))))
       case Some("fig16") =>
-        sized(Fig16PlanQuality.Params())(v => Fig16PlanQuality.Params(numClusters = v))
-          .map(p => Seq(() => Fig16PlanQuality.run(spark, p)))
+        sweep(Fig16PlanQuality.sweep).map(v =>
+          Seq(() => Fig16PlanQuality.table(Fig16PlanQuality.run(spark, v))))
       case _ => None
     }
     tables.toRight(usage)

@@ -61,7 +61,7 @@ class SparkExecutorsSpec extends SparkSpec {
   }
 
   test("Flink-like two-step executor matches the DuckDB oracle") {
-    val res = TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds)
+    val res = TwoStepExecutors.runFlinkLike(eventsDf, workload, typeIds)
     assert(res.matchesConstructed > 0)
     oracleCheck(res.counts)
     // Non-shared: every constructed sequence is counted in exactly one window row.
@@ -70,7 +70,7 @@ class SparkExecutorsSpec extends SparkSpec {
   }
 
   test("SPASS-like two-step executor matches the DuckDB oracle") {
-    val res = TwoStepExecutors.runSpassLike(spark, eventsDf, workload, sharonPlan, typeIds)
+    val res = TwoStepExecutors.runSpassLike(eventsDf, workload, sharonPlan, typeIds)
     oracleCheck(res.counts)
     assert(res.matchesConstructed == 446)
   }
@@ -81,7 +81,7 @@ class SparkExecutorsSpec extends SparkSpec {
       Candidate(Pattern("OakSt", "MainSt"), Vector(q(1), q(2)), 1.0),
       Candidate(Pattern("MainSt", "StateSt"), Vector(q(1), q(5)), 1.0))
     assertThrows[IllegalArgumentException](
-      TwoStepExecutors.runSpassLike(spark, eventsDf, workload, overlapping, typeIds))
+      TwoStepExecutors.runSpassLike(eventsDf, workload, overlapping, typeIds))
     assertThrows[IllegalArgumentException](
       OnlineExecutors.runSharon(spark, events, workload, overlapping, typeIds))
   }
@@ -89,8 +89,8 @@ class SparkExecutorsSpec extends SparkSpec {
   test("all four executors agree with each other") {
     val aseq   = asMap(OnlineExecutors.runASeq(spark, events, workload, typeIds).counts)
     val sharon = asMap(OnlineExecutors.runSharon(spark, events, workload, sharonPlan, typeIds).counts)
-    val flink  = asMap(TwoStepExecutors.runFlinkLike(spark, eventsDf, workload, typeIds).counts)
-    val spass  = asMap(TwoStepExecutors.runSpassLike(spark, eventsDf, workload, sharonPlan, typeIds).counts)
+    val flink  = asMap(TwoStepExecutors.runFlinkLike(eventsDf, workload, typeIds).counts)
+    val spass  = asMap(TwoStepExecutors.runSpassLike(eventsDf, workload, sharonPlan, typeIds).counts)
     assert(sharon == aseq)
     assert(flink == aseq)
     assert(spass == aseq)
