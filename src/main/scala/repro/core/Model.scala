@@ -124,6 +124,17 @@ object Model {
       "all queries share the same window (assumption 2)")
     def size: Int = queries.size
     def window: WindowSpec = queries.head.window
+
+    /** Identical queries — one pattern, and one window per workload
+      * (assumption 2) — have identical counts. Keeps the lowest-id query
+      * of each distinct pattern, in workload order, and maps its id to
+      * its group of identical queries, in id order.
+      */
+    def distinct: (Workload, Map[Int, Vector[Query]]) = {
+      val groups = queries.groupBy(_.pattern).values.map(_.sortBy(_.id))
+        .map(g => g.head.id -> g).toMap
+      (Workload(queries.filter(q => groups.contains(q.id))), groups)
+    }
   }
 
   object Workload {

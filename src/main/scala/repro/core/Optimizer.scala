@@ -14,6 +14,13 @@ import Model._
   *
   * All three return a sharing plan — a set of non-conflicting candidates
   * (Definition 7) — plus its score (Definition 8).
+  *
+  * Ahead of Alg 1, all three evaluate identical queries once, as
+  * common-subexpression elimination does (Sellis, "Multiple-query
+  * optimization", TODS 1988): the graph is built on the workload's
+  * distinct patterns, so the score is the distinct workload's Σ BValue,
+  * and each chosen candidate is widened to every query identical to one
+  * of its own, so the plan is valid over the whole workload.
   */
 object Optimizer {
 
@@ -48,20 +55,27 @@ object Optimizer {
   private def weigher(rates: Rates): Expansion.Weigh =
     (p, qs) => CostModel.bValue(rates, p, qs)
 
-  private def buildGraph(workload: Workload, rates: Rates): (SharonGraph, Phase) = {
-    val (g, ms) = timed {
-      SharonGraph.construct(rates, SharablePatterns.detect(workload))
+  /** Builds the Sharon graph of `workload`'s distinct patterns (timed as
+    * the construction phase) and runs `search` on it, then widens each
+    * chosen candidate to the groups of identical queries.
+    */
+  private def onDistinct(workload: Workload, rates: Rates)
+                        (search: (SharonGraph, Phase) => Result): Result = {
+    val ((groups, g), ms) = timed {
+      val (distinct, groups) = workload.distinct
+      (groups, SharonGraph.construct(rates, SharablePatterns.detect(distinct)))
     }
-    (g, Phase("graph construction", ms, graphMem(g)))
+    val r = search(g, Phase("graph construction", ms, graphMem(g)))
+    r.copy(plan = r.plan.map(c => c.copy(queries = c.queries.flatMap(q => groups(q.id)))))
   }
 
   /** Greedy optimizer: construction + GWMIN (no expansion, §8.3). */
-  def greedy(workload: Workload, rates: Rates): Result = {
-    val (g, constructPhase) = buildGraph(workload, rates)
-    val ((plan, score), ms) = timed(Gwmin.plan(g))
-    Result("GO", plan, score,
-      Vector(constructPhase, Phase("GWMIN", ms, g.size.toLong)), completed = true)
-  }
+  def greedy(workload: Workload, rates: Rates): Result =
+    onDistinct(workload, rates) { (g, constructPhase) =>
+      val ((plan, score), ms) = timed(Gwmin.plan(g))
+      Result("GO", plan, score,
+        Vector(constructPhase, Phase("GWMIN", ms, g.size.toLong)), completed = true)
+    }
 
   /** Exhaustive optimizer: construction + expansion + full enumeration.
     * `completed = false` (empty plan) when the enumeration exceeds its
@@ -70,24 +84,24 @@ object Optimizer {
   def exhaustive(workload: Workload, rates: Rates,
                  maxOptions: Int = 4096,
                  maxPlans: Long = 1L << 26,
-                 deadlineMs: Long = 120000L): Result = {
-    val (g, constructPhase) = buildGraph(workload, rates)
-    val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
-    val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
-    val (res, searchMs) = timed(PlanFinder.exhaustive(expanded, maxPlans, deadlineMs))
-    res match {
-      case Some(r) =>
-        Result("EO", r.plan, r.score,
-          Vector(constructPhase, expandPhase,
-            Phase("exhaustive search", searchMs, r.metrics.plansVisited)),
-          completed = true)
-      case None =>
-        Result("EO", Vector.empty, 0.0,
-          Vector(constructPhase, expandPhase,
-            Phase("exhaustive search (DNF)", searchMs, maxPlans)),
-          completed = false)
+                 deadlineMs: Long = 120000L): Result =
+    onDistinct(workload, rates) { (g, constructPhase) =>
+      val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
+      val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
+      val (res, searchMs) = timed(PlanFinder.exhaustive(expanded, maxPlans, deadlineMs))
+      res match {
+        case Some(r) =>
+          Result("EO", r.plan, r.score,
+            Vector(constructPhase, expandPhase,
+              Phase("exhaustive search", searchMs, r.metrics.plansVisited)),
+            completed = true)
+        case None =>
+          Result("EO", Vector.empty, 0.0,
+            Vector(constructPhase, expandPhase,
+              Phase("exhaustive search (DNF)", searchMs, maxPlans)),
+            completed = false)
+      }
     }
-  }
 
   /** The Sharon optimizer: construction + expansion + reduction + plan
     * finder; returns an optimal plan over the expanded graph (§§4–7).
@@ -98,52 +112,52 @@ object Optimizer {
     */
   def sharon(workload: Workload, rates: Rates,
              maxOptions: Int = 4096,
-             maxLevelWidth: Long = Long.MaxValue): Result = {
-    val (g, constructPhase) = buildGraph(workload, rates)
-    val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
-    val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
-    val (red, reduceMs) = timed(Reduction.reduce(expanded))
-    val reducePhase = Phase("graph reduction", reduceMs, graphMem(red.reduced))
-    // The finder runs per connected component: conflicts never cross
-    // components and scores are additive (Definition 8), so the union of
-    // per-component optima is the global optimum — this keeps the valid
-    // space tractable on large workloads without losing optimality.
-    val ((planCore, scoreCore, peakLevel, allComplete), findMs) = timed {
-      var plan     = Vector.empty[Candidate]
-      var score    = 0.0
-      var peak     = 0L
-      var complete = true
-      for (comp <- red.reduced.components) {
-        val sub   = red.reduced.inducedOn(comp)
-        val found = PlanFinder.find(sub, maxLevelWidth)
-        peak = math.max(peak, found.metrics.peakLevelSize)
-        val (p, s) =
-          if (found.complete) (found.plan, found.score)
-          else {
-            // §6 fallback: an incomplete search still yields a valid
-            // plan; take the better of best-found and greedy.
-            complete = false
-            val (gp, gs) = Gwmin.plan(sub)
-            if (gs > found.score) (gp, gs) else (found.plan, found.score)
-          }
-        plan ++= p
-        score += s
+             maxLevelWidth: Long = Long.MaxValue): Result =
+    onDistinct(workload, rates) { (g, constructPhase) =>
+      val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
+      val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
+      val (red, reduceMs) = timed(Reduction.reduce(expanded))
+      val reducePhase = Phase("graph reduction", reduceMs, graphMem(red.reduced))
+      // The finder runs per connected component: conflicts never cross
+      // components and scores are additive (Definition 8), so the union of
+      // per-component optima is the global optimum — this keeps the valid
+      // space tractable on large workloads without losing optimality.
+      val ((planCore, scoreCore, peakLevel, allComplete), findMs) = timed {
+        var plan     = Vector.empty[Candidate]
+        var score    = 0.0
+        var peak     = 0L
+        var complete = true
+        for (comp <- red.reduced.components) {
+          val sub   = red.reduced.inducedOn(comp)
+          val found = PlanFinder.find(sub, maxLevelWidth)
+          peak = math.max(peak, found.metrics.peakLevelSize)
+          val (p, s) =
+            if (found.complete) (found.plan, found.score)
+            else {
+              // §6 fallback: an incomplete search still yields a valid
+              // plan; take the better of best-found and greedy.
+              complete = false
+              val (gp, gs) = Gwmin.plan(sub)
+              if (gs > found.score) (gp, gs) else (found.plan, found.score)
+            }
+          plan ++= p
+          score += s
+        }
+        (plan, score, peak, complete)
       }
-      (plan, score, peak, complete)
+      var plan  = planCore ++ red.conflictFree
+      var score = scoreCore + red.conflictFree.map(_.weight).sum
+      if (!allComplete) {
+        // When any component search was cut off, guarantee SO >= GO by
+        // comparing against plain GWMIN on the unexpanded graph (the
+        // anytime fallback of §6 must never underperform the greedy
+        // optimizer it would replace).
+        val (gp, gs) = Gwmin.plan(g)
+        if (gs > score) { plan = gp; score = gs }
+      }
+      Result("SO", plan, score,
+        Vector(constructPhase, expandPhase, reducePhase,
+          Phase("plan finder", findMs, peakLevel + red.conflictFree.size)),
+        completed = allComplete)
     }
-    var plan  = planCore ++ red.conflictFree
-    var score = scoreCore + red.conflictFree.map(_.weight).sum
-    if (!allComplete) {
-      // When any component search was cut off, guarantee SO >= GO by
-      // comparing against plain GWMIN on the unexpanded graph (the
-      // anytime fallback of §6 must never underperform the greedy
-      // optimizer it would replace).
-      val (gp, gs) = Gwmin.plan(g)
-      if (gs > score) { plan = gp; score = gs }
-    }
-    Result("SO", plan, score,
-      Vector(constructPhase, expandPhase, reducePhase,
-        Phase("plan finder", findMs, peakLevel + red.conflictFree.size)),
-      completed = allComplete)
-  }
 }

@@ -12,7 +12,9 @@ import repro.core.Candidate
   * (the `prefix`/`suffix` of Definition 4, generalized to multiple shared
   * patterns per query). Segments carry a `shareKey`: shared segments of
   * the same pattern map to one runtime state reused by all subscribing
-  * queries; private segments are keyed per query and position.
+  * queries; private segments are keyed per query and position. Identical
+  * queries under identical shared spans compile to one query, evaluated
+  * once and reported under each of their ids.
   */
 object CompiledPlan {
 
@@ -23,8 +25,9 @@ object CompiledPlan {
     require(types.nonEmpty)
   }
 
-  final case class CompiledQuery(id: Int, segments: Vector[CompiledSegment]) {
-    require(segments.nonEmpty)
+  /** The segments of one pattern and the ids of the queries it counts for. */
+  final case class CompiledQuery(ids: Vector[Int], segments: Vector[CompiledSegment]) {
+    require(ids.nonEmpty && segments.nonEmpty)
   }
 
   final case class CompiledWorkload(window: WindowSpec,
@@ -43,18 +46,21 @@ object CompiledPlan {
   def typeDictionary(workload: Workload): Map[EventType, Int] =
     workload.queries.flatMap(_.pattern.types).distinct.sorted.zipWithIndex.toMap
 
-  /** Decomposes `workload` under `plan`. An empty plan yields one private
-    * whole-pattern segment per query — exactly the Non-Shared method
-    * (A-Seq, §3.2); with a plan, queries covered by shared candidates get
-    * `prefix / shared / suffix` segments (§3.3). Plans must be valid
-    * (Definition 7): shared patterns assigned to one query cannot overlap.
+  /** Decomposes `workload` under `plan`: queries covered by shared
+    * candidates get `prefix / shared / suffix` segments (§3.3). Plans
+    * must be valid (Definition 7): shared patterns assigned to one query
+    * cannot overlap. Queries of one pattern with the same shared spans
+    * become one compiled query, whose private gap segments are keyed by
+    * the group's lowest id; so an empty plan yields one private
+    * whole-pattern segment per distinct pattern — A-Seq over the distinct
+    * patterns.
     */
   def compile(workload: Workload,
               plan: Seq[Candidate],
               typeIds: Map[EventType, Int]): CompiledWorkload = {
-    val queries = workload.queries.map { q =>
-      // Shared patterns of this query, with their (unique) occurrence span.
-      val spans = plan.iterator
+    // Shared patterns of a query, with their (unique) occurrence span.
+    def spans(q: Query): Vector[(Int, Int, Pattern)] = {
+      val out = plan.iterator
         .filter(_.queryIds.contains(q.id))
         .map { c =>
           val i = q.pattern.indexOf(c.pattern).getOrElse(
@@ -62,11 +68,18 @@ object CompiledPlan {
           (i, i + c.pattern.length, c.pattern)
         }
         .toVector.sortBy(_._1)
-      spans.sliding(2).foreach {
+      out.sliding(2).foreach {
         case Vector((_, e1, p1), (s2, _, p2)) =>
           require(e1 <= s2, s"overlapping shared patterns $p1/$p2 in $q — invalid plan")
         case _ => ()
       }
+      out
+    }
+    val spanned = workload.queries.map(q => (q, spans(q)))
+    // Each group's ids, in id order, under its lowest id.
+    val groups = spanned.groupBy { case (q, sp) => (q.pattern, sp) }.values
+      .map(_.map(_._1.id).sorted).map(ids => ids.head -> ids).toMap
+    val queries = spanned.collect { case (q, sp) if groups.contains(q.id) =>
       val segments = Vector.newBuilder[CompiledSegment]
       var pos      = 0
       var gapIdx   = 0
@@ -77,19 +90,24 @@ object CompiledPlan {
           gapIdx += 1
           pos = until
         }
-      for ((s, e, p) <- spans) {
+      for ((s, e, p) <- sp) {
         gap(s)
         segments += CompiledSegment("shared:" + p.types.mkString(","),
           p.types.map(typeIds), shared = true)
         pos = e
       }
       gap(q.pattern.length)
-      CompiledQuery(q.id, segments.result())
+      CompiledQuery(groups(q.id), segments.result())
     }
     CompiledWorkload(workload.window, queries, typeIds)
   }
 
-  /** The Non-Shared (A-Seq) compilation: no sharing at all. */
+  /** The Non-Shared method, A-Seq (§3.2): one private whole-pattern
+    * segment per query, identical queries included.
+    */
   def nonShared(workload: Workload, typeIds: Map[EventType, Int]): CompiledWorkload =
-    compile(workload, Nil, typeIds)
+    CompiledWorkload(workload.window, workload.queries.map(q =>
+      CompiledQuery(Vector(q.id),
+        Vector(CompiledSegment(s"q${q.id}#0", q.pattern.types.map(typeIds), shared = false)))),
+      typeIds)
 }

@@ -165,7 +165,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     private def mulAdd(x: Long, y: Long, z: Long, ws: Long): Long =
       try Math.addExact(x, Math.multiplyExact(y, z))
       catch { case _: ArithmeticException => throw new ArithmeticException(
-        s"count of query ${q.id} in the window starting at $ws overflows a Long") }
+        s"count of query ${q.ids.mkString(",")} in the window starting at $ws overflows a Long") }
 
     /** Phase 1: snapshot level `j-1` per pane at the new STARTs of segment
       * `j >= 1` (Fig 7: "when c3 arrives, count(A,B) = 1"); cell `i` is
@@ -266,11 +266,13 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       (w - base).toInt
     }
 
-    /** The windows held before window number `end`, in window order. */
+    /** The windows held before window number `end`, in window order,
+      * each once per query id of this pattern.
+      */
     def windows(end: Long): Iterator[QueryWindowCount] =
       (0 until (math.min(end, top) - base).toInt).iterator
         .filter(results(_) != 0)
-        .map(i => QueryWindowCount(q.id, (base + i) * slide, results(i)))
+        .flatMap(i => q.ids.iterator.map(QueryWindowCount(_, (base + i) * slide, results(i))))
 
     /** Forgets the windows before window number `end`, and frees the ring
       * cells of panes before `end`: the last window holding pane `p` is

@@ -3,7 +3,7 @@ package repro.experiments
 import org.apache.spark.sql.SparkSession
 import repro.core.Optimizer
 import repro.core.Model._
-import repro.exec.OnlineExecutors
+import repro.exec.{CompiledPlan, OnlineExecutors}
 import repro.workload.{StreamGen, WorkloadGen}
 import Harness._
 
@@ -17,6 +17,9 @@ import Harness._
   * the paper's 128 GB server); sweep shapes unchanged. Latency is
   * wall-clock per run; memory is the engines' peak live state entries
   * (×16 B ≈ bytes); throughput is events × queries / second as in §8.1.
+  * The queries sweep grows mostly by identical queries: the generator
+  * cuts every query from 2 backbones, so 40–120 queries hold 14 distinct
+  * patterns.
   */
 object Fig14OnlineApproaches {
 
@@ -42,10 +45,15 @@ object Fig14OnlineApproaches {
     Sweep("length", "Fig 14(c,g,h): latency/memory vs pattern length (epw=20k, 20 queries)",
       Seq(10, 15, 20, 30).map(l => Setting(s"len=$l", DefaultEpw, DefaultQueries, l))))
 
+  /** One setting's run of both engines, and the meters of A-Seq over the
+    * `distinct` patterns of its queries (a third engine: how much of
+    * Sharon's gain is evaluating identical queries once).
+    */
   final case class Point(setting: Setting, aseqMs: Double, sharonMs: Double,
                          aseqWork: Long, sharonWork: Long,
                          aseqMem: Long, sharonMem: Long, events: Long,
-                         soCompleted: Boolean)
+                         soCompleted: Boolean, distinct: Int,
+                         distinctWork: Long, distinctMem: Long)
 
   def run(spark: SparkSession, sweep: Sweep): Seq[Point] = sweep.settings.map { st =>
     // A tight alphabet around the pattern length keeps query overlap high
@@ -63,22 +71,27 @@ object Fig14OnlineApproaches {
     withCached(StreamGen.uniform(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
       val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
       val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)
+      val distinct = CompiledPlan.compile(workload, Nil, typeIds)
+      val d = OnlineExecutors.run(spark, events, distinct)
       Point(st, a.millis, s.millis, a.metrics.workUnits, s.metrics.workUnits,
-        a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, so.completed)
+        a.metrics.peakStateUnits, s.metrics.peakStateUnits, nEvents, so.completed,
+        distinct.queries.size, d.metrics.workUnits, d.metrics.peakStateUnits)
     }
   }
 
   def table(sweep: Sweep, points: Seq[Point]): ExperimentTable =
     ExperimentTable(sweep.title,
-      Seq("x", "A-Seq ms", "Sharon ms", "speedup",
+      Seq("x", "distinct", "A-Seq ms", "Sharon ms", "speedup",
         "A-Seq ev/s", "Sharon ev/s", "A-Seq work", "Sharon work", "work ratio",
-        "A-Seq mem", "Sharon mem", "mem ratio", "SO complete"),
+        "A-Seq mem", "Sharon mem", "mem ratio",
+        "A-Seq distinct work", "A-Seq distinct mem", "SO complete"),
       points.map { pt =>
         def thr(millis: Double) = throughput(pt.events, pt.setting.queries, millis)
-        Seq(pt.setting.label, ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
+        Seq(pt.setting.label, pt.distinct.toString,
+          ms(pt.aseqMs), ms(pt.sharonMs), ratio(pt.aseqMs, pt.sharonMs),
           thr(pt.aseqMs), thr(pt.sharonMs),
           pt.aseqWork.toString, pt.sharonWork.toString, ratio(pt.aseqWork.toDouble, pt.sharonWork.toDouble),
           pt.aseqMem.toString, pt.sharonMem.toString, ratio(pt.aseqMem.toDouble, pt.sharonMem.toDouble),
-          yesNo(pt.soCompleted))
+          pt.distinctWork.toString, pt.distinctMem.toString, yesNo(pt.soCompleted))
       })
 }

@@ -30,12 +30,14 @@ object Fig16PlanQuality {
   private val SoMaxLevelWidth = 50000L
   private val Seed            = 31L
 
-  /** One workload size: both optimizers' results, and the executor's
-    * wall-clock and meters under each one's plan.
+  /** One workload size: both optimizers' results, the executor's
+    * wall-clock and meters under each one's plan, and the meters of A-Seq
+    * over the workload's `distinct` patterns.
     */
   final case class Point(queries: Int, go: Optimizer.Result, so: Optimizer.Result,
                          greedyMs: Double, optimalMs: Double,
-                         greedy: EngineMetrics, optimal: EngineMetrics)
+                         greedy: EngineMetrics, optimal: EngineMetrics,
+                         distinct: Int, aseqDistinct: EngineMetrics)
 
   def run(spark: SparkSession, numClusters: Seq[Int]): Seq[Point] = {
     val duration = Window.lengthSec * 2
@@ -59,7 +61,10 @@ object Fig16PlanQuality {
         val so = Optimizer.sharon(w, rates, maxOptions = MaxOptions, maxLevelWidth = SoMaxLevelWidth)
         val g = OnlineExecutors.runSharon(spark, events, w, go.plan, typeIds)
         val s = OnlineExecutors.runSharon(spark, events, w, so.plan, typeIds)
-        Point(w.size, go, so, g.millis, s.millis, g.metrics, s.metrics)
+        val distinct = CompiledPlan.compile(w, Nil, typeIds)
+        val d = OnlineExecutors.run(spark, events, distinct)
+        Point(w.size, go, so, g.millis, s.millis, g.metrics, s.metrics,
+          distinct.queries.size, d.metrics)
       }
     }
   }
@@ -67,18 +72,19 @@ object Fig16PlanQuality {
   def table(points: Seq[Point]): ExperimentTable =
     ExperimentTable(
       "Fig 16: executor under greedy vs optimal plan (taxi-like stream)",
-      Seq("queries", "GO score", "SO score", "greedy ms", "optimal ms", "lat ratio",
+      Seq("queries", "distinct", "GO score", "SO score", "greedy ms", "optimal ms", "lat ratio",
         "greedy mem", "optimal mem", "mem ratio",
-        "greedy work", "optimal work", "work ratio", "SO complete"),
+        "greedy work", "optimal work", "work ratio",
+        "A-Seq distinct work", "A-Seq distinct mem", "SO complete"),
       points.map { pt =>
-        val (g, s) = (pt.greedy, pt.optimal)
-        Seq(pt.queries.toString,
+        val (g, s, d) = (pt.greedy, pt.optimal, pt.aseqDistinct)
+        Seq(pt.queries.toString, pt.distinct.toString,
           f"${pt.go.score}%.3g", f"${pt.so.score}%.3g",
           ms(pt.greedyMs), ms(pt.optimalMs), ratio(pt.greedyMs, pt.optimalMs),
           g.peakStateUnits.toString, s.peakStateUnits.toString,
           ratio(g.peakStateUnits.toDouble, s.peakStateUnits.toDouble),
           g.workUnits.toString, s.workUnits.toString,
           ratio(g.workUnits.toDouble, s.workUnits.toDouble),
-          yesNo(pt.so.completed))
+          d.workUnits.toString, d.peakStateUnits.toString, yesNo(pt.so.completed))
       })
 }

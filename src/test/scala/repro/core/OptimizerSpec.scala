@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
+import repro.workload.{StreamGen, WorkloadGen}
 
 /** End-to-end optimizer pipeline tests (paper §8.3: GO, EO, SO). */
 class OptimizerSpec extends AnyFunSuite {
@@ -53,7 +54,7 @@ class OptimizerSpec extends AnyFunSuite {
     for (seed <- 0L until 15L) {
       val w = RandomGraphs.workload(seed, numQueries = 5, numTypes = 8)
       val r = RandomGraphs.rates(8, rate = 2.0)
-      val g = SharonGraph.construct(r, SharablePatterns.detect(w))
+      val g = SharonGraph.construct(r, SharablePatterns.detect(w.distinct._1))
       if (g.size <= 14) {
         val so = Optimizer.sharon(w, r, maxOptions = 1)
         assert(math.abs(so.score - RandomGraphs.bruteForceOpt(g)) < 1e-9, s"seed=$seed")
@@ -97,6 +98,34 @@ class OptimizerSpec extends AnyFunSuite {
     val r = Rates(Map("A" -> 1.0, "B" -> 1.0, "C" -> 1.0, "D" -> 1.0))
     val so = Optimizer.sharon(w, r)
     assert(so.plan.isEmpty && so.score == 0.0)
+  }
+
+  test("identical queries: each optimizer plans the distinct patterns; its plan names every copy") {
+    // q1 and q4 twice more, under ids 8-10.
+    val copies = Vector(workload.queries(0).copy(id = 8), workload.queries(3).copy(id = 9),
+      workload.queries(0).copy(id = 10))
+    val w           = Workload(workload.queries ++ copies)
+    val (d, groups) = w.distinct
+    assert(d == workload)
+    assert(groups(1).map(_.id) == Vector(1, 8, 10) && groups(4).map(_.id) == Vector(4, 9))
+    def all(w: Workload) =
+      Seq(Optimizer.greedy(w, rates), Optimizer.sharon(w, rates), Optimizer.exhaustive(w, rates))
+    for ((r, a) <- all(w).zip(all(workload))) withClue(r.name) {
+      assert(r.completed && Optimizer.isValid(r.plan))
+      assert(r.score == a.score) // the distinct workload's score
+      assert(r.plan.map(_.queryIds) == a.plan.map(c => c.queryIds.flatMap(i => groups(i).map(_.id))))
+      val named = r.plan.flatMap(_.queryIds).toSet
+      assert(named.contains(1) && named.contains(4) && copies.forall(q => named.contains(q.id)))
+    }
+  }
+
+  test("SO completes on the 120-query Fig 14 workload (14 distinct patterns)") {
+    val win = WindowSpec(60, 6)
+    val w   = WorkloadGen.generate(120, 10, 16, 2, win, 23)
+    assert(w.distinct._1.size == 14)
+    val so  = Optimizer.sharon(w, StreamGen.perWindowRates(10000, 16),
+      maxOptions = 64, maxLevelWidth = 50000)
+    assert(so.completed && Optimizer.isValid(so.plan))
   }
 
   test("EO reports DNF on a tight budget while SO completes") {

@@ -1,6 +1,7 @@
 package repro.exec
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Optimizer
 import repro.core.Model._
 import repro.exec.CompiledPlan._
 import EngineFixtures._
@@ -338,13 +339,17 @@ class EngineSpec extends AnyFunSuite {
   private val sharonCases = Seq(
     ("Sharon", wShared, shared, (seed: Long) => randomEvents(seed + 1000, 40, 30, 4, 2)),
     ("Sharon, four segments", wFour, four, (seed: Long) => randomEvents(seed + 2000, 80, 30, 6, 2)))
+  private val wASeq    = workloadOf(WindowSpec(12, 4),
+    Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
+  private val allCases = ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids),
+    (seed: Long) => randomEvents(seed, 40, 30, 4, 2)) +: sharonCases
 
   test("property: Sharon engine equals brute force under a sharing plan") {
     assert(shared.queries(2).segments.size == 3)
     assert(four.queries(0).segments.map(_.types) ==
       Vector(Vector(0), Vector(1, 2), Vector(3), Vector(4, 5)))
     for ((name, w, cw, events) <- sharonCases) {
-      val deepest = cw.queries.maxBy(_.segments.size).id
+      val deepest = cw.queries.maxBy(_.segments.size).ids.head
       var nonzero = 0
       for (seed <- 0L until 30L) {
         val res = runEngineMultiKey(cw, events(seed))
@@ -356,14 +361,10 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("property: engine results independent of same-time arrival order") {
-    val wASeq = workloadOf(WindowSpec(12, 4),
-      Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
-    val cases = ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids),
-      (seed: Long) => randomEvents(seed, 40, 30, 4, 2)) +: sharonCases
     val orders = Seq[(String, Event => Int)](
       "types ascending" -> (e => e.etype), "types descending" -> (e => -e.etype))
     var mixedTies = 0
-    for ((name, w, cw, stream) <- cases; seed <- 0L until 30L) {
+    for ((name, w, cw, stream) <- allCases; seed <- 0L until 30L) {
       val events = stream(seed)
       mixedTies += events.groupBy(e => (e.key, e.time)).count(_._2.map(_.etype).distinct.size > 1)
       val brute = bruteWorkload(events, w, ids)
@@ -371,6 +372,48 @@ class EngineSpec extends AnyFunSuite {
         assert(runEngineMultiKey(cw, events, tie) == brute, s"$name seed=$seed, $order")
     }
     assert(mixedTies > 0) // the streams do hold same-time events of different types
+  }
+
+  /** `w` plus a copy of its last query, placed first, and of its first
+    * query, placed last, under new ids.
+    */
+  private def withDuplicates(w: Workload): Workload =
+    Workload((w.queries.last.copy(id = w.size) +: w.queries) :+ w.queries.head.copy(id = w.size + 1))
+
+  test("property: identical queries are evaluated once and counted under every id") {
+    val unitRates   = Rates(ids.keys.map(_ -> 1.0).toMap)
+    var sharedPlans = 0
+    for ((name, base, _, stream) <- allCases) {
+      val w    = withDuplicates(base)
+      val plan = Optimizer.sharon(w, unitRates).plan
+      if (plan.nonEmpty) sharedPlans += 1
+      val compilations = Seq(
+        "SO plan" -> CompiledPlan.compile(w, plan, ids),
+        "A-Seq, distinct patterns" -> CompiledPlan.compile(w, Nil, ids),
+        "A-Seq" -> CompiledPlan.nonShared(w, ids))
+      assert(compilations.map(_._2.queries.size) == Seq(base.size, base.size, w.size), name)
+      var copies = 0 // results of the two copies
+      for (seed <- 0L until 30L) {
+        val events = stream(seed)
+        val brute  = bruteWorkload(events, w, ids)
+        copies += brute.count(_._1._1 >= base.size)
+        for ((how, cw) <- compilations)
+          assert(runEngineMultiKey(cw, events) == brute, s"$name, $how, seed=$seed")
+      }
+      assert(copies > 0, name)
+    }
+    assert(sharedPlans > 0) // some case runs a shared plan over the duplicates
+  }
+
+  test("A-Seq counts an identical query twice; A-Seq over distinct patterns once") {
+    val win    = WindowSpec(12, 4)
+    val single = workloadOf(win, Pattern("A", "B", "C"))
+    val twice  = workloadOf(win, Pattern("A", "B", "C"), Pattern("A", "B", "C"))
+    val events = randomEvents(7L, 40, 30, 4, 2)
+    val one    = meters(CompiledPlan.nonShared(single, ids), events)._1
+    assert(one > 0)
+    assert(meters(CompiledPlan.nonShared(twice, ids), events)._1 == 2 * one)
+    assert(meters(CompiledPlan.compile(twice, Nil, ids), events)._1 == one)
   }
 
   test("streaming emission: each window once, as in batch, and no state left at the end") {

@@ -39,10 +39,10 @@ class SparkExecutorsSpec extends SparkSpec {
     Optimizer.sharon(workload, realRates).plan
   }
 
-  private def oracleCheck(df: DataFrame): Unit =
+  private def oracleCheck(df: DataFrame, w: Workload = workload): Unit =
     Oracle.assertEquivalent(
       df,
-      OracleSql.workloadSql(workload, typeIds),
+      OracleSql.workloadSql(w, typeIds),
       "events" -> eventsDf, "windows" -> windowsDf)
 
   private def asMap(df: DataFrame): Map[(Int, Long), Long] =
@@ -84,6 +84,27 @@ class SparkExecutorsSpec extends SparkSpec {
       TwoStepExecutors.runSpassLike(eventsDf, workload, overlapping, typeIds))
     assertThrows[IllegalArgumentException](
       OnlineExecutors.runSharon(spark, events, workload, overlapping, typeIds))
+  }
+
+  test("a duplicated query: every executor reports its rows under both ids, as the oracle does") {
+    val dup  = Workload(workload.queries :+ workload.queries(1).copy(id = 8)) // q2 twice
+    val plan = Optimizer.sharon(dup, realRates).plan
+    assert(plan.exists(c => c.queryIds(2) && c.queryIds(8)))
+    val streamed = StructuredSharon.run(spark,
+      events.collect().toSeq.sortBy(e => (e.time, e.etype)),
+      CompiledPlan.compile(dup, plan, typeIds), batchSeconds = 30)
+    val runs = Seq(
+      "Sharon" -> OnlineExecutors.runSharon(spark, events, dup, plan, typeIds).counts,
+      "SPASS-like" -> TwoStepExecutors.runSpassLike(eventsDf, dup, plan, typeIds).counts,
+      "Flink-like" -> TwoStepExecutors.runFlinkLike(eventsDf, dup, typeIds).counts,
+      "streaming Sharon" -> streamed.emitted.filter(_.count != 0)
+        .map(r => (r.queryId, r.windowStart, r.count)).toDF("query_id", "window_start", "cnt"))
+    for ((name, counts) <- runs) withClue(name) {
+      val rows = asMap(counts)
+      def of(id: Int) = rows.collect { case ((`id`, ws), c) => ws -> c }
+      assert(of(2).nonEmpty && of(8) == of(2))
+      oracleCheck(counts, dup)
+    }
   }
 
   test("all four executors agree with each other") {
