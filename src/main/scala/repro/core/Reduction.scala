@@ -22,8 +22,8 @@ object Reduction {
 
   final case class Result(reduced: SharonGraph, conflictFree: Vector[Candidate]) {
     def prunedConflictRidden(original: SharonGraph): Vector[Candidate] = {
-      val kept = (reduced.vertices ++ conflictFree).map(_.sortKey).toSet
-      original.vertices.filterNot(c => kept.contains(c.sortKey))
+      val kept = (reduced.vertices ++ conflictFree).toSet
+      original.vertices.filterNot(kept)
     }
   }
 

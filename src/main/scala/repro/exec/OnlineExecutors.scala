@@ -2,25 +2,9 @@ package repro.exec
 
 import org.apache.spark.SparkException
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.util.AccumulatorV2
 import repro.core.Candidate
 import repro.core.Model._
 import CompiledPlan._
-
-/** Spark accumulator merging [[EngineMetrics]] across key-group tasks. */
-final class MetricsAccumulator extends AccumulatorV2[EngineMetrics, EngineMetrics] {
-  private var m = new EngineMetrics
-  override def isZero: Boolean =
-    m.events == 0 && m.workUnits == 0 && m.peakStateUnits == 0
-  override def copy(): MetricsAccumulator = {
-    val a = new MetricsAccumulator; a.m.merge(m); a
-  }
-  override def reset(): Unit = m = new EngineMetrics
-  override def add(v: EngineMetrics): Unit = m.merge(v)
-  override def merge(other: AccumulatorV2[EngineMetrics, EngineMetrics]): Unit =
-    m.merge(other.value)
-  override def value: EngineMetrics = m
-}
 
 /** The online executors of the paper's §8.2 on Spark: the per-key shared
   * stateful operator is realized as
@@ -44,8 +28,7 @@ object OnlineExecutors {
     */
   def run(spark: SparkSession, events: Dataset[Event], cw: CompiledWorkload): RunResult = {
     import spark.implicits._
-    val acc = new MetricsAccumulator
-    spark.sparkContext.register(acc, "engine-metrics")
+    val acc = spark.sparkContext.collectionAccumulator[EngineMetrics]("engine-metrics")
     val perTask = events
       .groupByKey(_.key)
       .flatMapSortedGroups($"time", $"etype") { (_: Long, it: Iterator[Event]) =>
@@ -68,7 +51,9 @@ object OnlineExecutors {
     val counts = sums.iterator.map(r => (r.queryId, r.windowStart, r.count)).toSeq
       .toDF("query_id", "window_start", "cnt")
     val ms = (System.nanoTime() - t0) / 1e6
-    RunResult(counts, acc.value, ms)
+    val merged = new EngineMetrics
+    acc.value.forEach(merged.merge)
+    RunResult(counts, merged, ms)
   }
 
   /** Non-Shared method for the whole workload — A-Seq (§3.2): every query

@@ -21,6 +21,14 @@ class OptimizerSpec extends AnyFunSuite {
     assert(r.score > 0)
   }
 
+  test("SO anytime cutoff: not completed, still valid, between GO and the exact SO") {
+    val cut = Optimizer.sharon(workload, rates, maxLevelWidth = 1)
+    assert(!cut.completed)
+    assert(Optimizer.isValid(cut.plan))
+    assert(cut.score >= Optimizer.greedy(workload, rates).score)
+    assert(cut.score <= Optimizer.sharon(workload, rates).score)
+  }
+
   test("SO has the four phases of Fig 15") {
     val r = Optimizer.sharon(workload, rates)
     assert(r.phases.map(_.name) == Vector("graph construction",

@@ -28,6 +28,14 @@ class PlanFinderSpec extends AnyFunSuite {
     assert(found.metrics.levels == 3)
   }
 
+  test("anytime cutoff: a level wider than maxLevelWidth stops the search, incomplete") {
+    val cut = PlanFinder.find(reduced.reduced, maxLevelWidth = 1)
+    assert(!cut.complete)
+    assert(cut.plan.map(_.pattern) == Vector(p1)) // best single candidate, not the optimum
+    assert(cut.score == 25.0 && found.score == 32.0)
+    assert(cut.metrics.levels == 1)
+  }
+
   test("optimal plan beats the greedy plan by >16% (Example 12)") {
     val (_, greedyScore) = Gwmin.plan(figure4Graph)
     val optScore = found.score + reduced.conflictFree.map(_.weight).sum

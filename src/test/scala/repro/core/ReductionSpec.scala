@@ -17,6 +17,20 @@ class ReductionSpec extends AnyFunSuite {
     assert(res.prunedConflictRidden(figure4Graph).map(_.pattern) == Vector(p3))
   }
 
+  test("a pruned candidate is reported even when its joined types equal a kept one's") {
+    val win = WindowSpec(60, 6)
+    // In each pair, X's and Y's types read the same once joined, the second
+    // pair even with the U+0001 separator of `sortKey`.
+    for ((xs, ys) <- Seq((Vector("A", "BC"), Vector("AB", "C")),
+                         (Vector("A\u0001B", "C"), Vector("A", "B\u0001C")))) {
+      val qs = Vector(Query(1, Pattern(xs ++ ys), win), Query(2, Pattern(ys ++ xs), win))
+      val x  = Candidate(Pattern(xs), qs, 1.0)
+      val y  = Candidate(Pattern(ys), qs, 2.0)
+      val r  = Reduction.Result(SharonGraph.fromCandidates(Seq(y)), Vector.empty)
+      assert(r.prunedConflictRidden(SharonGraph.fromCandidates(Seq(x, y))) == Vector(x), xs)
+    }
+  }
+
   test("reduced graph is {p1, p2, p4, p5, p6} — 2^5 search space (Example 9)") {
     assert(res.reduced.vertices.map(_.pattern).toSet == Set(p1, p2, p4, p5, p6))
   }

@@ -28,18 +28,4 @@ class MetricsSpec extends AnyFunSuite {
     assert(a.countUpdates == 100 && a.combMults == 50)
     assert(a.peakStateUnits == 13)
   }
-
-  test("accumulator round-trip preserves values") {
-    val acc = new MetricsAccumulator
-    assert(acc.isZero)
-    val m = new EngineMetrics
-    m.events = 3; m.countUpdates = 2; m.addState(1)
-    acc.add(m)
-    assert(!acc.isZero)
-    assert(acc.value.events == 3)
-    val copy = acc.copy()
-    assert(copy.value.countUpdates == 2)
-    acc.reset()
-    assert(acc.isZero)
-  }
 }
