@@ -10,9 +10,13 @@ import KeyGroupEngine._
   *
   * Events arrive in time order. Each *segment runtime* implements the
   * A-Seq kernel (§3.2, Fig 6): one count per segment prefix per
-  * non-expired START event; shared segments are evaluated once for all
-  * subscribing queries. Each *query runtime* implements count combination
-  * (§3.3, Fig 7): when segment `S_j`'s START event `c` arrives it
+  * non-expired START timestamp; shared segments are evaluated once for all
+  * subscribing queries. The STARTs of one segment at one timestamp share
+  * their time, panes, windows, expiry and snapshot, and every level update
+  * is linear, so they are one weighted cell whose level 0 is their number
+  * (the tie-level form of pane aggregation). Each *query runtime*
+  * implements count combination (§3.3, Fig 7): when segment `S_j`'s START
+  * event `c` arrives it
   * snapshots the running combined count of `S_1..S_{j-1}`; when sequences
   * of `S_j` starting at `c` complete with increment `δ`, it adds
   * `snap(c) × δ` to the combined count of `S_1..S_j`. An overall START
@@ -32,15 +36,16 @@ import KeyGroupEngine._
   * updates. An arriving event is only recorded, as a new START or as a
   * pending level. When time advances (or at [[results]]/[[emitClosed]])
   * the timestamp's phases run, each reading state its timestamp has not
-  * written yet: (1) queries snapshot at the new STARTs from earlier STARTs;
-  * (2) segments advance their earlier STARTs, highest level first, record
-  * the completions, and admit the new STARTs; (3) queries combine the
-  * completions; (4) the per-timestamp state is cleared.
+  * written yet: (1) queries snapshot at the new START cells from earlier
+  * ones; (2) segments advance their earlier START cells, highest level
+  * first, record each completing cell once with the matches of every
+  * completing event of the timestamp, and admit the new cells; (3) queries
+  * combine the completions; (4) the per-timestamp state is cleared.
   *
   * Counts are exact: an update that would overflow a `Long` throws
   * `ArithmeticException` instead of wrapping around, naming the segment
   * and START time, or the query and window start, where it happened. Only
-  * a count the engine stores can overflow: a START's count, a pane's sum
+  * a count the engine stores can overflow: a START cell's count, a pane's sum
   * (never more than the count of the window starting at that pane) or a
   * window result. A sum of panes that no window holds is never formed.
   */
@@ -52,12 +57,14 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     */
   final class SegmentRuntime(val types: Vector[Int]) {
     private val last = types.size - 1
-    val starts  = mutable.ArrayBuffer.empty[StartState]          // live STARTs, time-ordered
-    val readers = mutable.ArrayBuffer.empty[(QueryRuntime, Int)] // (query, position in it)
-    private var slots = 0 // snapshot slots per START: one per reader at position >= 1
-    // Per timestamp: new STARTs (joining `starts` in phase 2), events per
-    // level j >= 1, and completing STARTs, once per completing event.
-    val started      = mutable.ArrayBuffer.empty[StartState]
+    val starts = mutable.ArrayBuffer.empty[StartState] // live START cells, time-ordered
+    // The queries reading this segment and its position in each.
+    private var readerQueries = Array.empty[QueryRuntime]
+    private var readerPos     = Array.empty[Int]
+    private var slots = 0 // snapshot slots per START cell: one per reader at position >= 1
+    // Per timestamp: the new START cell (joining `starts` in phase 2) or
+    // null, events per level j >= 1, and completing START cells.
+    var started: StartState = null
     private val hits = new Array[Int](types.size)
     val completed    = mutable.ArrayBuffer.empty[StartState]
     private var idle = true
@@ -66,18 +73,21 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       * START's snapshot slot of that reader, or -1 at position 0.
       */
     def addReader(qr: QueryRuntime, j: Int): Int = {
-      readers += ((qr, j))
+      readerQueries :+= qr; readerPos :+= j
       if (j == 0) -1 else { slots += 1; slots - 1 }
     }
 
     def arrive(time: Long, level: Int): Unit = {
       if (idle) { idle = false; busy += this }
-      if (level == 0) started += new StartState(time, types.size, slots) else hits(level) += 1
+      if (level > 0) hits(level) += 1
+      else if (started == null) started = new StartState(time, types.size, slots)
+      else started.counts(0) += 1
     }
 
-    /** Phase 2: each level-`j` event adds every earlier START's count one
-      * level down. Levels go highest first, so each reads the count as of
-      * the previous timestamp.
+    /** Phase 2: each level-`j` event adds every earlier START cell's count
+      * one level down. Levels go highest first, so each reads the count as
+      * of the previous timestamp. A completing cell is recorded once, with
+      * the matches of all `h` completing events.
       */
     def advance(): Unit = {
       var j = last
@@ -90,29 +100,48 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
             val s     = starts(i)
             val delta = s.counts(j - 1)
             if (delta > 0) {
-              s.counts(j) = try Math.addExact(s.counts(j), Math.multiplyExact(h.toLong, delta))
-                catch { case _: ArithmeticException => throw new ArithmeticException(
-                  s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
-                    s"from its START at ${s.time} overflows a Long") }
-              if (j == last) {
-                s.delta = delta
-                var m = 0; while (m < h) { completed += s; m += 1 }
-              }
+              val d = try {
+                val d = Math.multiplyExact(h.toLong, delta)
+                s.counts(j) = Math.addExact(s.counts(j), d)
+                d
+              } catch { case _: ArithmeticException => throw new ArithmeticException(
+                s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
+                  s"from its START at ${s.time} overflows a Long") }
+              if (j == last) { s.delta = d; completed += s }
             }
             i += 1
           }
         }
         j -= 1
       }
-      // A single-type segment completes at its own START event.
-      if (last == 0) { started.foreach(_.delta = 1L); completed ++= started }
-      metrics.countUpdates += started.size
-      metrics.addState(started.size.toLong * types.size)
-      starts ++= started
+      if (started != null) {
+        // A single-type segment completes at its own START events.
+        if (last == 0) { started.delta = started.counts(0); completed += started }
+        metrics.countUpdates += 1
+        metrics.addState(types.size)
+        starts += started
+      }
     }
 
-    def clear(): Unit = {
-      started.clear(); java.util.Arrays.fill(hits, 0); completed.clear(); idle = true
+    /** Phase 1 for this timestamp's START cell: its readers at position
+      * `j >= 1` snapshot level `j-1`.
+      */
+    def snapshotReaders(): Unit = if (started != null) {
+      var r = 0
+      while (r < readerPos.length) {
+        if (readerPos(r) > 0) readerQueries(r).snapshot(readerPos(r))
+        r += 1
+      }
+    }
+
+    /** Phases 3 and 4: every reader combines this timestamp's
+      * completions, then the per-timestamp state is cleared.
+      */
+    def combineReaders(): Unit = {
+      var r = 0
+      if (completed.nonEmpty)
+        while (r < readerPos.length) { readerQueries(r).combine(readerPos(r)); r += 1 }
+      started = null; java.util.Arrays.fill(hits, 0); completed.clear(); idle = true
     }
 
     /** Drop STARTs whose last containing window has closed (§3.2), with
@@ -167,16 +196,16 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       catch { case _: ArithmeticException => throw new ArithmeticException(
         s"count of query ${q.ids.mkString(",")} in the window starting at $ws overflows a Long") }
 
-    /** Phase 1: snapshot level `j-1` per pane at the new STARTs of segment
-      * `j >= 1` (Fig 7: "when c3 arrives, count(A,B) = 1"); cell `i` is
-      * pane `winFirst / slide + i`. STARTs of one timestamp share it.
+    /** Phase 1: snapshot level `j-1` per pane at the new START cell of
+      * segment `j >= 1` (Fig 7: "when c3 arrives, count(A,B) = 1"); cell
+      * `i` is pane `winFirst / slide + i`.
       */
     def snapshot(j: Int): Unit = {
       val p0      = winFirst / slide
       val cells   = new Array[Long](((winLast - winFirst) / slide).toInt + 1)
-      var touched = 0 // nonzero STARTs or cells read
+      var touched = 0 // nonzero START cells or pane cells read
       if (j == 1) {
-        val starts = segs(0).starts // earlier STARTs only, time-ordered
+        val starts = segs(0).starts // earlier START cells only, time-ordered
         val last   = segs(0).types.size - 1
         var i = starts.size - 1
         while (i >= 0 && starts(i).time >= winFirst) {
@@ -188,17 +217,18 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           }
           i -= 1
         }
-      } else for (c <- cells.indices) {
-        val r = ((p0 + c) % ring).toInt
-        if (combPane(j - 2)(r) == p0 + c && combVal(j - 2)(r) > 0) {
-          touched += 1; cells(c) = combVal(j - 2)(r)
+      } else {
+        val tags = combPane(j - 2); val vals = combVal(j - 2)
+        var c = 0
+        while (c < cells.length) {
+          val r = ((p0 + c) % ring).toInt
+          if (tags(r) == p0 + c && vals(r) > 0) { touched += 1; cells(c) = vals(r) }
+          c += 1
         }
       }
-      segs(j).started.foreach { c =>
-        metrics.combMults += touched + cells.length
-        metrics.addState(cells.length.toLong + 1)
-        c.snaps(slot(j)) = cells
-      }
+      metrics.combMults += touched + cells.length
+      metrics.addState(cells.length.toLong + 1)
+      segs(j).started.snaps(slot(j)) = cells
     }
 
     /** Phase 3: combine segment `j >= 1`'s completions (level 0 is `S_1`'s
@@ -214,8 +244,11 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       val n         = ((winLast - winFirst) / slide).toInt + 1
       val lastLevel = j == k - 1
       // One work unit per (completion, window) at the final level, the cost model's Comb.
-      if (lastLevel) metrics.combMults += segs(j).completed.size.toLong * n
-      segs(j).completed.foreach { c =>
+      val completed = segs(j).completed
+      if (lastLevel) metrics.combMults += completed.size.toLong * n
+      var ci = 0
+      while (ci < completed.size) {
+        val c     = completed(ci)
         val cells = if (k == 1) UnitSnap else c.snaps(slot(j))
         val cp0   = if (k == 1) c.time / slide else win.firstWindowStart(c.time) / slide
         // Panes before the current windows have expired.
@@ -238,6 +271,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           }
           i += 1
         }
+        ci += 1
       }
       if (lastLevel) {
         val r0  = resultCells(p0, n)
@@ -323,12 +357,12 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     if (busy.nonEmpty) {
       winFirst = win.firstWindowStart(now)
       winLast  = win.lastWindowStart(now)
-      busy.foreach(s =>
-        if (s.started.nonEmpty) s.readers.foreach { case (qr, j) => if (j > 0) qr.snapshot(j) })
-      busy.foreach(_.advance())
-      busy.foreach(s =>
-        if (s.completed.nonEmpty) s.readers.foreach { case (qr, j) => qr.combine(j) })
-      busy.foreach(_.clear())
+      var b = 0
+      while (b < busy.size) { busy(b).snapshotReaders(); b += 1 }
+      b = 0
+      while (b < busy.size) { busy(b).advance(); b += 1 }
+      b = 0
+      while (b < busy.size) { busy(b).combineReaders(); b += 1 }
       busy.clear()
     }
 
@@ -396,16 +430,19 @@ object KeyGroupEngine {
   /** The snapshot a single-segment query's END combines with: its START alone. */
   private val UnitSnap = Array(1L)
 
-  /** Per-START-event state of one segment: `counts(j)` = number of
-    * matches of the segment's first `j+1` types starting at this START
-    * (`counts(0)` is identically 1 — the START itself).
+  /** One weighted cell of a segment: all its START events at one
+    * timestamp. `counts(j)` = number of matches of the segment's first
+    * `j+1` types starting at any of these STARTs (`counts(0)` is the
+    * number of STARTs).
     */
   final class StartState(val time: Long, nLevels: Int, nSnaps: Int) {
     val counts = new Array[Long](nLevels)
     counts(0) = 1L
-    /** Per reader at position >= 1: the snapshot taken at this START. */
+    /** Per reader at position >= 1: the snapshot taken at these STARTs. */
     val snaps = if (nSnaps == 0) NoSnaps else new Array[Array[Long]](nSnaps)
-    /** Matches each of this timestamp's completing events ends here (phases 2 → 3). */
+    /** Matches that all of this timestamp's completing events end here
+      * (phases 2 → 3).
+      */
     var delta = 0L
   }
 }

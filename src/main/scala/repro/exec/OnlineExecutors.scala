@@ -8,13 +8,13 @@ import CompiledPlan._
 
 /** The online executors of the paper's §8.2 on Spark: the per-key shared
   * stateful operator is realized as
-  * `Dataset.groupByKey(key).flatMapSortedGroups(time)` — one
-  * [[KeyGroupEngine]] per key group evaluates the *whole workload* from
-  * the compiled sharing graph, so shared segment states are reused across
-  * queries inside the operator. Each task of that stage sums its key
-  * groups' counts per `(query, window)`, and the driver merges the tasks'
-  * sums; both sums are exact ([[WindowSums]]). No Spark stage runs after
-  * the engine's.
+  * `repartition(key).sortWithinPartitions(key, time).mapPartitions` — each
+  * task runs its key groups back to back, one [[KeyGroupEngine]] per key
+  * group evaluating the *whole workload* from the compiled sharing graph,
+  * so shared segment states are reused across queries inside the operator.
+  * Each task sums its key groups' counts per `(query, window)`, and the
+  * driver merges the tasks' sums; both sums are exact ([[WindowSums]]). No
+  * Spark stage runs after the engine's.
   */
 object OnlineExecutors {
 
@@ -30,16 +30,23 @@ object OnlineExecutors {
     import spark.implicits._
     val acc = spark.sparkContext.collectionAccumulator[EngineMetrics]("engine-metrics")
     val perTask = events
-      .groupByKey(_.key)
-      .flatMapSortedGroups($"time", $"etype") { (_: Long, it: Iterator[Event]) =>
-        val metrics = new EngineMetrics
-        val out     = new KeyGroupEngine(cw, metrics).run(it)
-        acc.add(metrics)
-        out
-      }
-      .mapPartitions { perKey =>
-        val sums = new WindowSums
-        perKey.foreach(sums.add)
+      .repartition($"key")
+      .sortWithinPartitions($"key", $"time", $"etype")
+      .mapPartitions { it =>
+        val sums    = new WindowSums
+        val meters  = new EngineMetrics // one meter per key group, merged
+        val rows    = it.buffered
+        while (rows.hasNext) {
+          val key   = rows.head.key
+          val group = new Iterator[Event] {
+            def hasNext: Boolean = rows.hasNext && rows.head.key == key
+            def next(): Event    = rows.next()
+          }
+          val metrics = new EngineMetrics
+          new KeyGroupEngine(cw, metrics).run(group).foreach(sums.add)
+          meters.merge(metrics)
+        }
+        acc.add(meters)
         sums.iterator
       }
     val t0   = System.nanoTime()

@@ -215,26 +215,47 @@ class EngineSpec extends AnyFunSuite {
     // Seed 0 of the two property tests below.
     val w1 = workloadOf(WindowSpec(12, 4), Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
     assert(meters(CompiledPlan.nonShared(w1, ids), randomEvents(0L, 40, 30, 4, 2)) ==
-      ((114L, 151L, 73L)))
+      ((91L, 116L, 61L)))
     val w2 = workloadOf(WindowSpec(12, 4),
       Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
     val shared2 = CompiledPlan.compile(w2, Seq(candidate(w2, Pattern("B", "C"), Set(0, 1, 2))), ids)
-    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((62L, 225L, 144L)))
+    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((60L, 210L, 134L)))
+  }
+
+  test("ties: STARTs of one timestamp are one cell, and a START completed at one timestamp is combined once") {
+    val w  = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C", "D"), Pattern("C", "D"))
+    val cw = CompiledPlan.compile(w, Seq(candidate(w, Pattern("C", "D"), Set(0, 1))), ids)
+    assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0, 1), Vector(2, 3)))
+    // n As at time 1, then b2, c3 and h Ds at time 4.
+    def run(n: Int, h: Int): EngineMetrics = {
+      val events = Seq.fill(n)(ev(1, "A")) ++ Seq(ev(2, "B"), ev(3, "C")) ++ Seq.fill(h)(ev(4, "D"))
+      val (res, m) = runEngine(cw, events)
+      assert(res((0, 0L)) == bruteCount(events, Vector(0, 1, 2, 3), w.window)(0L), s"n=$n h=$h")
+      assert(res((0, 0L)) == n.toLong * h)
+      m
+    }
+    val one = run(1, 1)
+    val as  = run(40, 1)
+    assert(as.countUpdates == one.countUpdates)
+    assert(as.peakStateUnits == one.peakStateUnits)
+    assert(run(1, 40).combMults == one.combMults)
+    assert(run(40, 40).combMults == one.combMults)
   }
 
   test("combination is per pane: each A of one pane costs one snapshot read, not one per level") {
-    val w  = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C", "D"), Pattern("B", "C"))
+    val w  = workloadOf(WindowSpec(1000, 1000), Pattern("A", "B", "C", "D"), Pattern("B", "C"))
     val cw = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), ids)
     assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0), Vector(1, 2), Vector(3)))
+    // Each A at its own timestamp: As of one timestamp are one START cell.
     def run(nA: Int): (Long, Long) = {
-      val as = (0 until nA).map(i => ev(1 + i % 50, "A"))
-      val (res, m) = runEngine(cw, as ++ Seq(ev(60, "B"), ev(70, "C"), ev(80, "D")))
+      val as = (0 until nA).map(i => ev(1L + i, "A"))
+      val (res, m) = runEngine(cw, as ++ Seq(ev(400, "B"), ev(410, "C"), ev(420, "D")))
       (res((0, 0L)), m.combMults)
     }
     val (n150, mults150) = run(150)
     val (n300, mults300) = run(300)
     assert(n150 == 150 && n300 == 300)
-    // The snapshot at b60 reads each A once; combining at c70 and d80
+    // The snapshot at b400 reads each A once; combining at c410 and d420
     // touches one pane, whatever the number of As.
     assert(mults300 - mults150 == 150)
     assert(mults300 - 300 < 10)
@@ -272,14 +293,18 @@ class EngineSpec extends AnyFunSuite {
 
   test("overflow: a count above Long.MaxValue throws instead of wrapping") {
     assert(tenPlans(1)._2.queries(0).segments.size == 3)
-    for ((name, cw) <- tenPlans) withClue(name) {
-      val e = intercept[ArithmeticException](runEngine(cw, tenEvents(100))) // 10^20
-      assert(e.getMessage == "count of query 0 in the window starting at 0 overflows a Long")
+    // 10^20: without sharing, the START cell at time 0 holds all of them
+    // and overflows its own count; with sharing, the combination overflows.
+    val segmentOverflow =
+      s"count of segment (${tenTypes.mkString(",")}) from its START at 0 overflows a Long"
+    val messages = Seq(segmentOverflow, "count of query 0 in the window starting at 0 overflows a Long")
+    for (((name, cw), message) <- tenPlans.zip(messages)) withClue(name) {
+      val e = intercept[ArithmeticException](runEngine(cw, tenEvents(100)))
+      assert(e.getMessage == message)
     }
-    // 130^9 > Long.MaxValue: the START at time 0 overflows its own count.
+    // 130^9 > Long.MaxValue: even one START at time 0 overflows its own count.
     val e = intercept[ArithmeticException](runEngine(tenPlans(0)._2, tenEvents(130)))
-    assert(e.getMessage ==
-      s"count of segment (${tenTypes.mkString(",")}) from its START at 0 overflows a Long")
+    assert(e.getMessage == segmentOverflow)
   }
 
   test("overflow: a count just below Long.MaxValue stays exact") {
@@ -341,8 +366,16 @@ class EngineSpec extends AnyFunSuite {
     ("Sharon, four segments", wFour, four, (seed: Long) => randomEvents(seed + 2000, 80, 30, 6, 2)))
   private val wASeq    = workloadOf(WindowSpec(12, 4),
     Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
-  private val allCases = ("A-Seq", wASeq, CompiledPlan.nonShared(wASeq, ids),
-    (seed: Long) => randomEvents(seed, 40, 30, 4, 2)) +: sharonCases
+  private val aseq     = CompiledPlan.nonShared(wASeq, ids)
+  // Dense ties: 80 events over 7 timestamps and 2 keys, so many STARTs
+  // and completions of one segment share a timestamp.
+  private val denseCases = Seq(
+    ("A-Seq, dense ties", wASeq, aseq, (seed: Long) => randomEvents(seed + 4000, 80, 6, 4, 2)),
+    ("Sharon, dense ties", wShared, shared, (seed: Long) => randomEvents(seed + 5000, 80, 6, 4, 2)),
+    ("Sharon, four segments, dense ties", wFour, four,
+      (seed: Long) => randomEvents(seed + 6000, 80, 6, 6, 2)))
+  private val allCases = (("A-Seq", wASeq, aseq,
+    (seed: Long) => randomEvents(seed, 40, 30, 4, 2)) +: sharonCases) ++ denseCases
 
   test("property: Sharon engine equals brute force under a sharing plan") {
     assert(shared.queries(2).segments.size == 3)
@@ -364,14 +397,17 @@ class EngineSpec extends AnyFunSuite {
     val orders = Seq[(String, Event => Int)](
       "types ascending" -> (e => e.etype), "types descending" -> (e => -e.etype))
     var mixedTies = 0
+    var startTies = 0
     for ((name, w, cw, stream) <- allCases; seed <- 0L until 30L) {
       val events = stream(seed)
       mixedTies += events.groupBy(e => (e.key, e.time)).count(_._2.map(_.etype).distinct.size > 1)
+      startTies += events.groupBy(e => (e.key, e.time, e.etype)).count(_._2.size > 1)
       val brute = bruteWorkload(events, w, ids)
       for ((order, tie) <- orders)
         assert(runEngineMultiKey(cw, events, tie) == brute, s"$name seed=$seed, $order")
     }
     assert(mixedTies > 0) // the streams do hold same-time events of different types
+    assert(startTies > 0) // and of one type: STARTs that share one cell
   }
 
   /** `w` plus a copy of its last query, placed first, and of its first

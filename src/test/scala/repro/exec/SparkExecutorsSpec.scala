@@ -172,6 +172,28 @@ class SparkExecutorsSpec extends SparkSpec {
     assert(asMap(aseq.counts) == asMap(sharon.counts))
   }
 
+  test("dense ties over many keys: online executors match the oracle") {
+    // About 4 events per key and second: many STARTs and completions of one
+    // segment share a timestamp. Three shuffle partitions for 8 keys make
+    // some task run several key groups back to back.
+    val w    = WorkloadGen.traffic(WindowSpec(8, 4))
+    val ev   = StreamGen.uniform(spark, 800, 24, nTypes, numKeys = 8, seed = 13).cache()
+    val rows = ev.collect()
+    assert(rows.groupBy(e => (e.key, e.time, e.etype)).exists(_._2.length > 1))
+    val r    = Rates(typeIds.map { case (n, _) => n -> 800.0 / 24 / nTypes })
+    val plan = Optimizer.sharon(w, r).plan
+    assert(plan.nonEmpty)
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", 3L)
+    try for ((name, res) <- Seq(
+        "A-Seq" -> OnlineExecutors.runASeq(spark, ev, w, typeIds),
+        "Sharon" -> OnlineExecutors.runSharon(spark, ev, w, plan, typeIds))) withClue(name) {
+      assert(res.metrics.events == rows.length)
+      Oracle.assertEquivalent(res.counts, OracleSql.workloadSql(w, typeIds),
+        "events" -> ev.toDF(), "windows" -> OracleSql.windowStarts(24, w.window).toDF("ws"))
+    } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
+
   test("parametric workload at larger key counts: Sharon == A-Seq") {
     val w    = WorkloadGen.generate(numQueries = 8, patternLen = 4, numTypes = 10,
       numBackbones = 2, window = WindowSpec(60, 20), seed = 9)
