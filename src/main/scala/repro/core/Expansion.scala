@@ -24,11 +24,11 @@ object Expansion {
 
   /** Sharing candidate expansion (Algorithm 5): breadth-first generation
     * of the option set `O_p` of vertex `vIdx`, rooted at the original
-    * candidate. `maxOptions` bounds the exponential blow-up of Eq 14 (the
-    * benches keep the paper's shape by reporting when the cap is hit).
+    * candidate. `maxOptions` bounds the exponential blow-up of Eq 14;
+    * [[Optimizer]] holds its default.
     */
   def expandCandidate(g: SharonGraph, vIdx: Int, weigh: Weigh,
-                      maxOptions: Int = 4096): Vector[Candidate] = {
+                      maxOptions: Int): Vector[Candidate] = {
     val v        = g.vertices(vIdx)
     val seenSets = mutable.Set[Set[Int]](v.queryIds)
     val options  = Vector.newBuilder[Candidate]
@@ -74,8 +74,7 @@ object Expansion {
     * `g` into its option set and rebuilds the graph — vertices are all
     * options, edges recomputed by Definition 6.
     */
-  def expandGraph(g: SharonGraph, weigh: Weigh,
-                  maxOptions: Int = 4096): SharonGraph = {
+  def expandGraph(g: SharonGraph, weigh: Weigh, maxOptions: Int): SharonGraph = {
     val all = g.vertices.indices.flatMap(expandCandidate(g, _, weigh, maxOptions))
     SharonGraph.fromCandidates(all)
   }

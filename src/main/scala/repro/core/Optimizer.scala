@@ -77,14 +77,17 @@ object Optimizer {
         Vector(constructPhase, Phase("GWMIN", ms, g.size.toLong)), completed = true)
     }
 
+  /** Default expansion budget of EO and SO: options per candidate (Eq 14). */
+  val MaxOptions = 64
+
   /** Exhaustive optimizer: construction + expansion + full enumeration.
     * `completed = false` (empty plan) when the enumeration exceeds its
     * budget — the paper's EO does not terminate beyond 20 queries.
     */
   def exhaustive(workload: Workload, rates: Rates,
-                 maxOptions: Int = 4096,
-                 maxPlans: Long = 1L << 26,
-                 deadlineMs: Long = 120000L): Result =
+                 maxOptions: Int = MaxOptions,
+                 maxPlans: Long = 1L << 24,
+                 deadlineMs: Long = 20000L): Result =
     onDistinct(workload, rates) { (g, constructPhase) =>
       val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
       val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
@@ -106,58 +109,32 @@ object Optimizer {
   /** The Sharon optimizer: construction + expansion + reduction + plan
     * finder; returns an optimal plan over the expanded graph (§§4–7).
     *
-    * `maxLevelWidth` is the anytime cutoff of the finder (§6 fallback):
-    * when hit, the better of the best-found plan and the GWMIN plan on
-    * the reduced graph is returned with `completed = false`.
+    * `maxLevelWidth` is the finder's anytime cutoff. When it fires, SO
+    * takes the paper's §6 fallback inside the finder phase: the better of
+    * the best plan found and the GWMIN plan of the constructed graph,
+    * with `completed = false`. So SO never scores below GO.
     */
   def sharon(workload: Workload, rates: Rates,
-             maxOptions: Int = 4096,
-             maxLevelWidth: Long = Long.MaxValue): Result =
+             maxOptions: Int = MaxOptions,
+             maxLevelWidth: Long = 50000L): Result =
     onDistinct(workload, rates) { (g, constructPhase) =>
       val (expanded, expandMs) = timed(Expansion.expandGraph(g, weigher(rates), maxOptions))
       val expandPhase = Phase("graph expansion", expandMs, graphMem(expanded))
       val (red, reduceMs) = timed(Reduction.reduce(expanded))
       val reducePhase = Phase("graph reduction", reduceMs, graphMem(red.reduced))
-      // The finder runs per connected component: conflicts never cross
-      // components and scores are additive (Definition 8), so the union of
-      // per-component optima is the global optimum — this keeps the valid
-      // space tractable on large workloads without losing optimality.
-      val ((planCore, scoreCore, peakLevel, allComplete), findMs) = timed {
-        var plan     = Vector.empty[Candidate]
-        var score    = 0.0
-        var peak     = 0L
-        var complete = true
-        for (comp <- red.reduced.components) {
-          val sub   = red.reduced.inducedOn(comp)
-          val found = PlanFinder.find(sub, maxLevelWidth)
-          peak = math.max(peak, found.metrics.peakLevelSize)
-          val (p, s) =
-            if (found.complete) (found.plan, found.score)
-            else {
-              // §6 fallback: an incomplete search still yields a valid
-              // plan; take the better of best-found and greedy.
-              complete = false
-              val (gp, gs) = Gwmin.plan(sub)
-              if (gs > found.score) (gp, gs) else (found.plan, found.score)
-            }
-          plan ++= p
-          score += s
+      val ((found, plan, score), findMs) = timed {
+        val found = PlanFinder.find(red.reduced, maxLevelWidth)
+        val plan  = found.plan ++ red.conflictFree
+        val score = found.score + red.conflictFree.map(_.weight).sum
+        if (found.complete) (found, plan, score)
+        else {
+          val (gp, gs) = Gwmin.plan(g)
+          if (gs > score) (found, gp, gs) else (found, plan, score)
         }
-        (plan, score, peak, complete)
-      }
-      var plan  = planCore ++ red.conflictFree
-      var score = scoreCore + red.conflictFree.map(_.weight).sum
-      if (!allComplete) {
-        // When any component search was cut off, guarantee SO >= GO by
-        // comparing against plain GWMIN on the unexpanded graph (the
-        // anytime fallback of §6 must never underperform the greedy
-        // optimizer it would replace).
-        val (gp, gs) = Gwmin.plan(g)
-        if (gs > score) { plan = gp; score = gs }
       }
       Result("SO", plan, score,
         Vector(constructPhase, expandPhase, reducePhase,
-          Phase("plan finder", findMs, peakLevel + red.conflictFree.size)),
-        completed = allComplete)
+          Phase("plan finder", findMs, found.metrics.peakLevelSize + red.conflictFree.size)),
+        completed = found.complete)
     }
 }

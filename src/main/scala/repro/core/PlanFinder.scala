@@ -29,13 +29,27 @@ object PlanFinder {
   /** Optimal plan over `g` (conflict-free candidates are assumed to have
     * been removed by [[Reduction]]; the caller unions them back in).
     *
-    * `maxLevelWidth` bounds the number of plans held per lattice level:
-    * when a level would exceed it, the search stops and returns the best
-    * plan seen so far with `complete = false` — the paper's §6 fallback
-    * ("constrain the optimization time ... run GWMIN instead"), realized
-    * as an anytime cutoff. The default is unbounded (exact search).
+    * Each connected component is searched on its own: conflicts never
+    * cross components and scores are additive (Definition 8), so the union
+    * of the components' optima is the optimum of `g`. `plansVisited` sums
+    * over components; `peakLevelSize` and `levels` are their maxima.
+    *
+    * `maxLevelWidth` bounds the plans held per lattice level: a component
+    * whose level would exceed it keeps the best plan seen so far, and the
+    * result has `complete = false` — the anytime cutoff behind the §6
+    * fallback of [[Optimizer.sharon]].
     */
-  def find(g: SharonGraph, maxLevelWidth: Long = Long.MaxValue): Result = {
+  def find(g: SharonGraph, maxLevelWidth: Long): Result = {
+    val parts = g.components.map(c => findConnected(g.inducedOn(c), maxLevelWidth))
+    val ms    = parts.map(_.metrics)
+    Result(parts.flatMap(_.plan), parts.map(_.score).sum,
+      Metrics(ms.map(_.plansVisited).sum, (0L +: ms.map(_.peakLevelSize)).max,
+        (0 +: ms.map(_.levels)).max),
+      parts.forall(_.complete))
+  }
+
+  /** The lattice search of one connected component. */
+  private def findConnected(g: SharonGraph, maxLevelWidth: Long): Result = {
     var best      = Vector.empty[Int]
     var bestScore = 0.0
     var visited   = 0L
@@ -55,12 +69,9 @@ object PlanFinder {
         val s = score(p)
         if (s > bestScore) { bestScore = s; best = p }
       }
-      if (level.size > maxLevelWidth) {
-        complete = false
-        level = Vector.empty // anytime cutoff: keep best-so-far
-      } else {
-        level = nextLevel(g, level)
-      }
+      // Anytime cutoff: a level wider than the budget ends the search.
+      complete = level.size <= maxLevelWidth
+      level = if (complete) nextLevel(g, level) else Vector.empty
     }
     Result(best.map(g.vertices), bestScore, Metrics(visited, peak, levels), complete)
   }
@@ -99,9 +110,7 @@ object PlanFinder {
     * enumeration would exceed `maxPlans` or `deadlineMs` — the paper's EO
     * "fails to terminate for more than 20 queries".
     */
-  def exhaustive(g: SharonGraph,
-                 maxPlans: Long = 1L << 26,
-                 deadlineMs: Long = 120000L): Option[Result] = {
+  def exhaustive(g: SharonGraph, maxPlans: Long, deadlineMs: Long): Option[Result] = {
     val n = g.size
     if (n >= 62 || (1L << n) > maxPlans) return None
     val start     = System.nanoTime()

@@ -12,13 +12,6 @@ final case class Candidate(pattern: Pattern, queries: Vector[Query], weight: Dou
 
   lazy val queryIds: Set[Int] = queries.map(_.id).toSet
 
-  /** Canonical ordering key — candidates are sorted "alphabetically by
-    * their patterns" within plans (§6, data structures); the query-id list
-    * breaks ties among expansion options of the same pattern.
-    */
-  lazy val sortKey: String =
-    pattern.types.mkString("") + "|" + queries.map(_.id).sorted.mkString(",")
-
   /** Sharing conflict test (Definition 6): the two candidates' patterns
     * overlap inside the pattern of at least one common query.
     */
@@ -40,10 +33,32 @@ final case class Candidate(pattern: Pattern, queries: Vector[Query], weight: Dou
     s"($pattern, {${queries.map(q => s"q${q.id}").mkString(",")}}, w=$weight)"
 }
 
+object Candidate {
+
+  /** Canonical order, "alphabetically by their patterns" (§6, data
+    * structures), with query ids ordering the options of one pattern: that
+    * of the strings `t1 ␁ t2 ␁ … tk ⊤ ids`, where `␁` sorts below every
+    * character and `⊤` above. No two candidates tie.
+    */
+  implicit val ordering: Ordering[Candidate] = (a, b) => {
+    val (x, y) = (a.pattern.types, b.pattern.types)
+    var i = 0
+    while (i < x.size && i < y.size && x(i) == y(i)) i += 1
+    if (i == x.size && i == y.size) ids(a).compareTo(ids(b))
+    else if (i == x.size || i == y.size) Integer.compare(y.size, x.size) // ⊤ against ␁
+    // One type ends inside the other: ⊤ follows a pattern's last type, ␁ any other.
+    else if (y(i).startsWith(x(i))) { if (i == x.size - 1) 1 else -1 }
+    else if (x(i).startsWith(y(i))) { if (i == y.size - 1) -1 else 1 }
+    else x(i).compareTo(y(i))
+  }
+
+  private def ids(c: Candidate): String = c.queries.map(_.id).sorted.mkString(",")
+}
+
 /** The Sharon graph (Definition 10): weighted vertices = beneficial
   * sharing candidates, undirected edges = sharing conflicts. Implemented
   * as an adjacency list over vertex indices (§4, data structures);
-  * vertices are kept in canonical `sortKey` order.
+  * vertices are kept in canonical `Candidate.ordering`.
   */
 final case class SharonGraph(vertices: Vector[Candidate], adj: Vector[Set[Int]]) {
   require(vertices.size == adj.size)
@@ -106,7 +121,7 @@ object SharonGraph {
     * (Definition 6). Vertices are sorted canonically.
     */
   def fromCandidates(candidates: Seq[Candidate]): SharonGraph = {
-    val vs = candidates.toVector.sortBy(_.sortKey)
+    val vs = candidates.toVector.sorted
     val adj = vs.indices.toVector.map { i =>
       vs.indices.filter(j => j != i && vs(i).conflictsWith(vs(j))).toSet
     }

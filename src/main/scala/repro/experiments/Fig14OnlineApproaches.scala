@@ -67,7 +67,7 @@ object Fig14OnlineApproaches {
     // Cost-model rates in events/window (dimensionally consistent units
     // for Eq 5 — see StreamGen.perWindowRates).
     val rates    = StreamGen.perWindowRates(st.epw, nTypes)
-    val so = Optimizer.sharon(workload, rates, maxOptions = 64, maxLevelWidth = 50000)
+    val so = Optimizer.sharon(workload, rates)
     withCached(StreamGen.uniform(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
       val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
       val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)

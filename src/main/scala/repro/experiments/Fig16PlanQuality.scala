@@ -24,11 +24,9 @@ object Fig16PlanQuality {
 
   /** Number of traffic clusters of each point, ×7 queries: 21..182. */
   val sweep: Seq[Int] = Seq(3, 9, 17, 26)
-  private val NumKeys         = 64
-  private val Window          = WindowSpec(60, 6)
-  private val MaxOptions      = 64
-  private val SoMaxLevelWidth = 50000L
-  private val Seed            = 31L
+  private val NumKeys = 64
+  private val Window  = WindowSpec(60, 6)
+  private val Seed    = 31L
 
   /** One workload size: both optimizers' results, the executor's
     * wall-clock and meters under each one's plan, and the meters of A-Seq
@@ -58,7 +56,7 @@ object Fig16PlanQuality {
         .toIndexedSeq
       withCached(StreamGen.weighted(spark, nEvents, duration, weights, NumKeys, Seed)) { events =>
         val go = Optimizer.greedy(w, rates)
-        val so = Optimizer.sharon(w, rates, maxOptions = MaxOptions, maxLevelWidth = SoMaxLevelWidth)
+        val so = Optimizer.sharon(w, rates)
         val g = OnlineExecutors.runSharon(spark, events, w, go.plan, typeIds)
         val s = OnlineExecutors.runSharon(spark, events, w, so.plan, typeIds)
         val distinct = CompiledPlan.compile(w, Nil, typeIds)

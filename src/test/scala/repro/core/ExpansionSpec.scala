@@ -14,7 +14,7 @@ class ExpansionSpec extends AnyFunSuite {
   private val unitWeigh: Expansion.Weigh = (_, _) => 1.0
 
   private def optionSets(p: Pattern): Set[Set[Int]] =
-    Expansion.expandCandidate(g, idx(g, p), unitWeigh)
+    Expansion.expandCandidate(g, idx(g, p), unitWeigh, Optimizer.MaxOptions)
       .map(_.queryIds).toSet
 
   test("the original candidate is always an option (root of the tree)") {
@@ -26,7 +26,7 @@ class ExpansionSpec extends AnyFunSuite {
   }
 
   test("Example 13: option (p1,{q1,q3}) exists and resolves the p4/p5 conflicts") {
-    val opts = Expansion.expandCandidate(g, idx(g, p1), unitWeigh)
+    val opts = Expansion.expandCandidate(g, idx(g, p1), unitWeigh, Optimizer.MaxOptions)
     val o13  = opts.find(_.queryIds == Set(1, 3)).get
     assert(!o13.conflictsWith(cand(p4)))
     assert(!o13.conflictsWith(cand(p5)))
@@ -44,7 +44,7 @@ class ExpansionSpec extends AnyFunSuite {
 
   test("options never shrink below two queries (Definition 3)") {
     for (p <- table1.keys)
-      assert(Expansion.expandCandidate(g, idx(g, p), unitWeigh)
+      assert(Expansion.expandCandidate(g, idx(g, p), unitWeigh, Optimizer.MaxOptions)
         .forall(_.queries.size > 1))
   }
 
@@ -59,7 +59,7 @@ class ExpansionSpec extends AnyFunSuite {
 
   test("options with non-positive benefit are pruned") {
     val negWeigh: Expansion.Weigh = (_, qs) => if (qs.size >= 4) 1.0 else -1.0
-    val opts = Expansion.expandCandidate(g, idx(g, p1), negWeigh)
+    val opts = Expansion.expandCandidate(g, idx(g, p1), negWeigh, Optimizer.MaxOptions)
     assert(opts.map(_.queryIds) == Vector(Set(1, 2, 3, 4)))
   }
 
@@ -73,7 +73,7 @@ class ExpansionSpec extends AnyFunSuite {
   }
 
   test("Example 15: expanded graph contains p1's options and singleton sets elsewhere") {
-    val eg = Expansion.expandGraph(g, unitWeigh)
+    val eg = Expansion.expandGraph(g, unitWeigh, Optimizer.MaxOptions)
     val p1Opts = eg.vertices.filter(_.pattern == p1)
     assert(p1Opts.size == 11) // all subsets of {q1..q4} of size >= 2
     // p2 has only its original candidate.
@@ -82,7 +82,7 @@ class ExpansionSpec extends AnyFunSuite {
   }
 
   test("expanded graph edges follow Definition 6 between options") {
-    val eg = Expansion.expandGraph(g, unitWeigh)
+    val eg = Expansion.expandGraph(g, unitWeigh, Optimizer.MaxOptions)
     for (i <- 0 until eg.size; j <- (i + 1) until eg.size) {
       assert(eg.hasEdge(i, j) == eg.vertices(i).conflictsWith(eg.vertices(j)),
         s"${eg.vertices(i)} vs ${eg.vertices(j)}")
@@ -90,14 +90,14 @@ class ExpansionSpec extends AnyFunSuite {
   }
 
   test("same-pattern options with a common query are in conflict") {
-    val eg  = Expansion.expandGraph(g, unitWeigh)
+    val eg  = Expansion.expandGraph(g, unitWeigh, Optimizer.MaxOptions)
     val o12 = eg.vertices.indexWhere(v => v.pattern == p1 && v.queryIds == Set(1, 2))
     val o13 = eg.vertices.indexWhere(v => v.pattern == p1 && v.queryIds == Set(1, 3))
     assert(eg.hasEdge(o12, o13)) // both would share p1 for q1
   }
 
   test("same-pattern options with disjoint query sets do not conflict") {
-    val eg  = Expansion.expandGraph(g, unitWeigh)
+    val eg  = Expansion.expandGraph(g, unitWeigh, Optimizer.MaxOptions)
     val o12 = eg.vertices.indexWhere(v => v.pattern == p1 && v.queryIds == Set(1, 2))
     val o34 = eg.vertices.indexWhere(v => v.pattern == p1 && v.queryIds == Set(3, 4))
     assert(!eg.hasEdge(o12, o34))
@@ -109,7 +109,7 @@ class ExpansionSpec extends AnyFunSuite {
       if (og.size > 0 && og.size <= 10) {
         val weigh: Expansion.Weigh =
           (p, qs) => CostModel.bValue(RandomGraphs.rates(8), p, qs)
-        val eg = Expansion.expandGraph(og, weigh)
+        val eg = Expansion.expandGraph(og, weigh, Optimizer.MaxOptions)
         if (eg.size <= 16) {
           assert(RandomGraphs.bruteForceOpt(eg) >= RandomGraphs.bruteForceOpt(og) - 1e-9,
             s"seed=$seed")

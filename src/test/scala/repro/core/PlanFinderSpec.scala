@@ -7,7 +7,7 @@ class PlanFinderSpec extends AnyFunSuite {
   import PaperFixtures._
 
   private val reduced = Reduction.reduce(figure4Graph)
-  private val found   = PlanFinder.find(reduced.reduced)
+  private val found   = PlanFinder.find(reduced.reduced, Long.MaxValue)
 
   test("optimal plan over the reduced graph is {p2, p4, p6} with score 32") {
     assert(found.plan.map(_.pattern).toSet == Set(p2, p4, p6))
@@ -34,6 +34,13 @@ class PlanFinderSpec extends AnyFunSuite {
     assert(cut.plan.map(_.pattern) == Vector(p1)) // best single candidate, not the optimum
     assert(cut.score == 25.0 && found.score == 32.0)
     assert(cut.metrics.levels == 1)
+  }
+
+  test("a disconnected graph is searched per component: two query-disjoint copies of Fig 4's") {
+    val copy = reduced.reduced.vertices.map(c => c.copy(queries = c.queries.map(q => q.copy(id = q.id + 10))))
+    val r    = PlanFinder.find(SharonGraph.fromCandidates(reduced.reduced.vertices ++ copy), Long.MaxValue)
+    assert(r.complete && r.score == 64.0)
+    assert(r.metrics.plansVisited == 20 && r.metrics.levels == 3) // the union's lattice holds 120
   }
 
   test("optimal plan beats the greedy plan by >16% (Example 12)") {
@@ -69,25 +76,25 @@ class PlanFinderSpec extends AnyFunSuite {
   }
 
   test("empty graph yields the empty plan") {
-    val r = PlanFinder.find(SharonGraph(Vector.empty, Vector.empty))
+    val r = PlanFinder.find(SharonGraph(Vector.empty, Vector.empty), Long.MaxValue)
     assert(r.plan.isEmpty && r.score == 0.0)
   }
 
   test("fully connected graph yields the single heaviest vertex") {
     val g = SharonGraph.fromCandidates(Seq(cand(p1), cand(p3), cand(p5)))
-    val r = PlanFinder.find(g)
+    val r = PlanFinder.find(g, Long.MaxValue)
     assert(r.plan.map(_.pattern) == Vector(p1))
     assert(r.score == 25.0)
   }
 
   test("exhaustive search agrees with the plan finder on Fig 4") {
-    val ex = PlanFinder.exhaustive(figure4Graph).get
+    val ex = PlanFinder.exhaustive(figure4Graph, Long.MaxValue, Long.MaxValue).get
     assert(ex.score == 50.0)
     assert(ex.plan.map(_.pattern).toSet == Set(p2, p4, p6, p7))
   }
 
   test("exhaustive search respects its plan budget (DNF)") {
-    assert(PlanFinder.exhaustive(figure4Graph, maxPlans = 16).isEmpty)
+    assert(PlanFinder.exhaustive(figure4Graph, maxPlans = 16, deadlineMs = Long.MaxValue).isEmpty)
   }
 
   test("every returned plan is valid (Definition 7)") {
@@ -99,7 +106,7 @@ class PlanFinderSpec extends AnyFunSuite {
     for (seed <- 0L until 30L) {
       val g = RandomGraphs.graph(seed, numQueries = 4 + (seed % 6).toInt, numTypes = 8)
       if (g.size <= 16) {
-        val r = PlanFinder.find(g)
+        val r = PlanFinder.find(g, Long.MaxValue)
         assert(math.abs(r.score - RandomGraphs.bruteForceOpt(g)) < 1e-9, s"seed=$seed")
         assert(Optimizer.isValid(r.plan), s"seed=$seed")
       }
@@ -110,8 +117,8 @@ class PlanFinderSpec extends AnyFunSuite {
     for (seed <- 40L until 60L) {
       val g = RandomGraphs.graph(seed, numQueries = 4 + (seed % 6).toInt, numTypes = 8)
       if (g.size <= 16) {
-        val r  = PlanFinder.find(g)
-        val ex = PlanFinder.exhaustive(g).get
+        val r  = PlanFinder.find(g, Long.MaxValue)
+        val ex = PlanFinder.exhaustive(g, Long.MaxValue, Long.MaxValue).get
         assert(math.abs(r.score - ex.score) < 1e-9, s"seed=$seed")
       }
     }

@@ -20,7 +20,7 @@ class ReductionSpec extends AnyFunSuite {
   test("a pruned candidate is reported even when its joined types equal a kept one's") {
     val win = WindowSpec(60, 6)
     // In each pair, X's and Y's types read the same once joined, the second
-    // pair even with the U+0001 separator of `sortKey`.
+    // pair even when joined with U+0001.
     for ((xs, ys) <- Seq((Vector("A", "BC"), Vector("AB", "C")),
                          (Vector("A\u0001B", "C"), Vector("A", "B\u0001C")))) {
       val qs = Vector(Query(1, Pattern(xs ++ ys), win), Query(2, Pattern(ys ++ xs), win))

@@ -95,6 +95,30 @@ class SharonGraphSpec extends AnyFunSuite {
     built.vertices.foreach(v => assert(v.queries.map(_.id) == table1(v.pattern)))
   }
 
+  test("fromCandidates gives one vertex order for any arrival order, even for types holding U+0001") {
+    val win = WindowSpec(60, 6)
+    // Joined with U+0001, these two patterns' types read the same.
+    val (xs, ys) = (Vector("A\u0001B", "C"), Vector("A", "B\u0001C"))
+    val qs    = Vector(Query(8, Pattern(xs ++ ys), win), Query(9, Pattern(ys ++ xs), win))
+    val cands = table1.keys.map(cand).toVector ++
+      Vector(Candidate(Pattern(xs), qs, 1.0), Candidate(Pattern(ys), qs, 2.0))
+    val orders = (0 until 20).map(seed =>
+      SharonGraph.fromCandidates(new scala.util.Random(seed).shuffle(cands)).vertices)
+    assert(orders.distinct.size == 1)
+  }
+
+  test("on ordinary type names the order is that of the U+0001-joined types and query ids") {
+    val qs = Vector(1, 2, 10).map(i => Query(i, Pattern("X", "Y"), WindowSpec(60, 6)))
+    val cands = for {
+      types <- Seq(Vector("A"), Vector("A", "B"), Vector("A", "B", "C"), Vector("A", "BC"),
+                   Vector("AB", "C"), Vector("AB"), Vector("B", "A"), Vector("T1"), Vector("T10"))
+      ids   <- Seq(Seq(0, 1), Seq(0, 2), Seq(1, 2), Seq(0, 1, 2))
+    } yield Candidate(Pattern(types), ids.map(qs).toVector, 1.0)
+    def joined(c: Candidate) =
+      c.pattern.types.mkString("\u0001") + "|" + c.queries.map(_.id).sorted.mkString(",")
+    assert(SharonGraph.fromCandidates(cands.reverse).vertices == cands.sortBy(joined))
+  }
+
   test("inducedOn keeps weights and remaps edges") {
     val keep = (0 until g.size).filterNot(_ == idx(g, p3))
     val h = g.inducedOn(keep)
