@@ -72,10 +72,12 @@ object Expansion {
 
   /** Sharing conflict resolution (Algorithm 6): expands every vertex of
     * `g` into its option set and rebuilds the graph — vertices are all
-    * options, edges recomputed by Definition 6.
+    * options, edges recomputed by Definition 6. When no vertex gains an
+    * option beyond itself, the expanded graph is `g`, and no conflict is
+    * re-tested.
     */
   def expandGraph(g: SharonGraph, weigh: Weigh, maxOptions: Int): SharonGraph = {
-    val all = g.vertices.indices.flatMap(expandCandidate(g, _, weigh, maxOptions))
-    SharonGraph.fromCandidates(all)
+    val options = g.vertices.indices.map(expandCandidate(g, _, weigh, maxOptions))
+    if (options.forall(_.size == 1)) g else SharonGraph.fromCandidates(options.flatten)
   }
 }

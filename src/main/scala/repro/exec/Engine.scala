@@ -14,7 +14,10 @@ import KeyGroupEngine._
   * subscribing queries. The STARTs of one segment at one timestamp share
   * their time, panes, windows, expiry and snapshot, and every level update
   * is linear, so they are one weighted cell whose level 0 is their number
-  * (the tie-level form of pane aggregation). Each *query runtime*
+  * (the tie-level form of pane aggregation). A segment keeps its live
+  * cells in flat primitive arrays, one per field and one per level, so a
+  * level update is one pass over two contiguous `Long` arrays; a cell is
+  * an index, not an object. Each *query runtime*
   * implements count combination (§3.3, Fig 7): when segment `S_j`'s START
   * event `c` arrives it
   * snapshots the running combined count of `S_1..S_{j-1}`; when sequences
@@ -23,7 +26,8 @@ import KeyGroupEngine._
   * `a` (a START of `S_1`) matters only through its pane `a.time / slide`,
   * which fixes the windows holding `a` and when it expires, so every
   * combination level and every snapshot is kept per pane, not per `a`. A
-  * snapshot lives on the START `c` it was taken at and expires with it.
+  * snapshot lives in the cell of the START `c` it was taken at and
+  * expires with it.
   * Windows appear only where results are written: the END events of the
   * last segment add per pane, and once per timestamp a backward pass sums
   * the panes from each window's first pane on into that window's result
@@ -54,35 +58,73 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 
   /** A-Seq state for one segment pattern (§3.2); shared across queries
     * when the plan says so (one instance per distinct shareKey).
+    *
+    * The live START cells are the range `[lo, hi)` of flat, time-ordered
+    * arrays: `times(i)` is cell `i`'s timestamp, `lv(j)(i)` its level-`j`
+    * count, `snaps(s)(i)` the snapshot of reader slot `s` taken at it and
+    * `deltas(i)` its completions of this timestamp. This timestamp's new
+    * cell is written at `hi` and joins the range in phase 2.
     */
   final class SegmentRuntime(val types: Vector[Int]) {
     private val last = types.size - 1
-    val starts = mutable.ArrayBuffer.empty[StartState] // live START cells, time-ordered
+    private[KeyGroupEngine] var times  = new Array[Long](16) // its length is the arrays' capacity
+    private[KeyGroupEngine] var lv     = Array.fill(types.size)(new Array[Long](times.length))
+    private[KeyGroupEngine] var snaps  = Array.empty[Array[Array[Long]]]
+    private[KeyGroupEngine] var deltas = new Array[Long](times.length)
+    private[KeyGroupEngine] var lo = 0
+    private[KeyGroupEngine] var hi = 0
     // The queries reading this segment and its position in each.
     private var readerQueries = Array.empty[QueryRuntime]
     private var readerPos     = Array.empty[Int]
-    private var slots = 0 // snapshot slots per START cell: one per reader at position >= 1
-    // Per timestamp: the new START cell (joining `starts` in phase 2) or
-    // null, events per level j >= 1, and completing START cells.
-    var started: StartState = null
+    // Per timestamp: whether a new START cell sits at `hi`, events per
+    // level j >= 1, and the indices of the completing cells.
+    private var started = false
     private val hits = new Array[Int](types.size)
-    val completed    = mutable.ArrayBuffer.empty[StartState]
+    private[KeyGroupEngine] var completed  = new Array[Int](times.length)
+    private[KeyGroupEngine] var nCompleted = 0
     private var idle = true
 
     /** Registers `qr` reading this segment at position `j`; returns the
-      * START's snapshot slot of that reader, or -1 at position 0.
+      * START cells' snapshot slot of that reader, or -1 at position 0.
       */
     def addReader(qr: QueryRuntime, j: Int): Int = {
       readerQueries :+= qr; readerPos :+= j
-      if (j == 0) -1 else { slots += 1; slots - 1 }
+      if (j == 0) -1 else { snaps :+= new Array[Array[Long]](times.length); snaps.length - 1 }
     }
 
     def arrive(time: Long, level: Int): Unit = {
       if (idle) { idle = false; busy += this }
       if (level > 0) hits(level) += 1
-      else if (started == null) started = new StartState(time, types.size, slots)
-      else started.counts(0) += 1
+      else if (started) lv(0)(hi) += 1
+      else {
+        if (hi == times.length) makeRoom()
+        times(hi) = time
+        lv(0)(hi) = 1L
+        var j = 1
+        while (j <= last) { lv(j)(hi) = 0L; j += 1 }
+        started = true
+      }
     }
+
+    /** Frees cell `hi`: moves the live range to the front when at least
+      * half the arrays lie before it, else doubles the arrays. Runs only
+      * between timestamps, so no completion index is held.
+      */
+    private def makeRoom(): Unit =
+      if (lo >= times.length / 2) {
+        val n = hi - lo
+        def shift[A](a: Array[A]): Unit = System.arraycopy(a, lo, a, 0, n)
+        shift(times); lv.foreach(shift); shift(deltas)
+        snaps.foreach { s => shift(s); java.util.Arrays.fill(s.asInstanceOf[Array[AnyRef]], n, hi, null) }
+        lo = 0; hi = n
+      } else {
+        val cap = 2 * times.length
+        times = java.util.Arrays.copyOf(times, cap)
+        lv = lv.map(java.util.Arrays.copyOf(_, cap))
+        snaps = snaps.map(java.util.Arrays.copyOf(_, cap))
+        deltas = java.util.Arrays.copyOf(deltas, cap)
+        completed = java.util.Arrays.copyOf(completed, cap)
+      }
 
     /** Phase 2: each level-`j` event adds every earlier START cell's count
       * one level down. Levels go highest first, so each reads the count as
@@ -91,42 +133,44 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       */
     def advance(): Unit = {
       var j = last
-      while (j > 0) {
-        val h = hits(j)
-        if (h > 0) {
-          metrics.countUpdates += h.toLong * starts.size
-          var i = 0
-          while (i < starts.size) {
-            val s     = starts(i)
-            val delta = s.counts(j - 1)
-            if (delta > 0) {
-              val d = try {
-                val d = Math.multiplyExact(h.toLong, delta)
-                s.counts(j) = Math.addExact(s.counts(j), d)
-                d
-              } catch { case _: ArithmeticException => throw new ArithmeticException(
-                s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
-                  s"from its START at ${s.time} overflows a Long") }
-              if (j == last) { s.delta = d; completed += s }
-            }
-            i += 1
+      var i = lo
+      try {
+        while (j > 0) {
+          val h = hits(j).toLong
+          if (h > 0) {
+            metrics.countUpdates += h * (hi - lo)
+            val src = lv(j - 1); val dst = lv(j)
+            i = lo
+            if (j < last)
+              while (i < hi) { dst(i) = Math.addExact(dst(i), Math.multiplyExact(h, src(i))); i += 1 }
+            else
+              while (i < hi) {
+                if (src(i) > 0) {
+                  val d = Math.multiplyExact(h, src(i))
+                  dst(i) = Math.addExact(dst(i), d)
+                  deltas(i) = d; completed(nCompleted) = i; nCompleted += 1
+                }
+                i += 1
+              }
           }
+          j -= 1
         }
-        j -= 1
-      }
-      if (started != null) {
+      } catch { case _: ArithmeticException => throw new ArithmeticException(
+        s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
+          s"from its START at ${times(i)} overflows a Long") }
+      if (started) {
         // A single-type segment completes at its own START events.
-        if (last == 0) { started.delta = started.counts(0); completed += started }
+        if (last == 0) { deltas(hi) = lv(0)(hi); completed(nCompleted) = hi; nCompleted += 1 }
         metrics.countUpdates += 1
         metrics.addState(types.size)
-        starts += started
+        hi += 1
       }
     }
 
     /** Phase 1 for this timestamp's START cell: its readers at position
       * `j >= 1` snapshot level `j-1`.
       */
-    def snapshotReaders(): Unit = if (started != null) {
+    def snapshotReaders(): Unit = if (started) {
       var r = 0
       while (r < readerPos.length) {
         if (readerPos(r) > 0) readerQueries(r).snapshot(readerPos(r))
@@ -139,9 +183,9 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       */
     def combineReaders(): Unit = {
       var r = 0
-      if (completed.nonEmpty)
+      if (nCompleted > 0)
         while (r < readerPos.length) { readerQueries(r).combine(readerPos(r)); r += 1 }
-      started = null; java.util.Arrays.fill(hits, 0); completed.clear(); idle = true
+      started = false; java.util.Arrays.fill(hits, 0); nCompleted = 0; idle = true
     }
 
     /** Drop STARTs whose last containing window has closed (§3.2), with
@@ -150,13 +194,15 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       * form a prefix.
       */
     def expire(now: Long): Unit = {
-      var n = 0
-      while (n < starts.size && win.lastWindowEnd(starts(n).time) <= now) {
-        starts(n).snaps.foreach(cells => metrics.removeState(cells.length.toLong + 1))
+      var n = lo
+      while (n < hi && win.lastWindowEnd(times(n)) <= now) {
+        var s = 0
+        while (s < snaps.length) { metrics.removeState(snaps(s)(n).length.toLong + 1); snaps(s)(n) = null; s += 1 }
         n += 1
       }
-      metrics.removeState(n.toLong * types.size)
-      starts.remove(0, n)
+      metrics.removeState((n - lo).toLong * types.size)
+      lo = n
+      if (lo == hi) { lo = 0; hi = 0 }
     }
   }
 
@@ -168,10 +214,11 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     * START, `comb(j)` for `1 <= j <= k-2` is a ring of pane-tagged cells,
     * and level `k-1` is summed per pane for one timestamp only, then into
     * window results. Every level combines the same way, in [[combine]].
-    * The snapshot at a START of segment `j >= 1` is kept on that START, in
-    * this query's slot, per pane, and is released when the segment drops
-    * the START. Window results are a dense array indexed by window number
-    * `windowStart / slide`, from the first window not yet emitted on.
+    * The snapshot at a START of segment `j >= 1` is kept in that START's
+    * cell, in this query's slot, per pane, and is released when the
+    * segment drops the cell. Window results are a dense array indexed by
+    * window number `windowStart / slide`, from the first window not yet
+    * emitted on.
     */
   final class QueryRuntime(val q: CompiledQuery, val segs: Vector[SegmentRuntime]) {
     private val k     = segs.size
@@ -205,15 +252,15 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       val cells   = new Array[Long](((winLast - winFirst) / slide).toInt + 1)
       var touched = 0 // nonzero START cells or pane cells read
       if (j == 1) {
-        val starts = segs(0).starts // earlier START cells only, time-ordered
-        val last   = segs(0).types.size - 1
-        var i = starts.size - 1
-        while (i >= 0 && starts(i).time >= winFirst) {
-          val a = starts(i)
-          if (a.counts(last) > 0) {
+        val s0     = segs(0) // earlier START cells only, time-ordered
+        val times  = s0.times
+        val counts = s0.lv(s0.types.size - 1)
+        var i = s0.hi - 1
+        while (i >= s0.lo && times(i) >= winFirst) {
+          if (counts(i) > 0) {
             touched += 1
-            val c = (a.time / slide - p0).toInt
-            cells(c) = mulAdd(cells(c), a.counts(last), 1L, (p0 + c) * slide)
+            val c = (times(i) / slide - p0).toInt
+            cells(c) = mulAdd(cells(c), counts(i), 1L, (p0 + c) * slide)
           }
           i -= 1
         }
@@ -228,7 +275,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       }
       metrics.combMults += touched + cells.length
       metrics.addState(cells.length.toLong + 1)
-      segs(j).started.snaps(slot(j)) = cells
+      segs(j).snaps(slot(j))(segs(j).hi) = cells
     }
 
     /** Phase 3: combine segment `j >= 1`'s completions (level 0 is `S_1`'s
@@ -244,13 +291,15 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
       val n         = ((winLast - winFirst) / slide).toInt + 1
       val lastLevel = j == k - 1
       // One work unit per (completion, window) at the final level, the cost model's Comb.
-      val completed = segs(j).completed
-      if (lastLevel) metrics.combMults += completed.size.toLong * n
+      val seg = segs(j)
+      if (lastLevel) metrics.combMults += seg.nCompleted.toLong * n
       var ci = 0
-      while (ci < completed.size) {
-        val c     = completed(ci)
-        val cells = if (k == 1) UnitSnap else c.snaps(slot(j))
-        val cp0   = if (k == 1) c.time / slide else win.firstWindowStart(c.time) / slide
+      while (ci < seg.nCompleted) {
+        val c     = seg.completed(ci)
+        val time  = seg.times(c)
+        val delta = seg.deltas(c)
+        val cells = if (k == 1) UnitSnap else seg.snaps(slot(j))(c)
+        val cp0   = if (k == 1) time / slide else win.firstWindowStart(time) / slide
         // Panes before the current windows have expired.
         var i = math.max(0L, p0 - cp0).toInt
         while (i < cells.length) {
@@ -258,7 +307,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
             val p = cp0 + i
             if (lastLevel) {
               val a = (p - p0).toInt
-              acc(a) = mulAdd(acc(a), cells(i), c.delta, p * slide)
+              acc(a) = mulAdd(acc(a), cells(i), delta, p * slide)
             } else {
               val tags = combPane(j - 1); val vals = combVal(j - 1); val r = (p % ring).toInt
               metrics.combMults += 1
@@ -266,7 +315,7 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
                 if (tags(r) < 0) metrics.addState(1) // held from first use until dropped
                 tags(r) = p; vals(r) = 0L
               }
-              vals(r) = mulAdd(vals(r), cells(i), c.delta, p * slide)
+              vals(r) = mulAdd(vals(r), cells(i), delta, p * slide)
             }
           }
           i += 1
@@ -426,23 +475,6 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
 
 object KeyGroupEngine {
 
-  private val NoSnaps = new Array[Array[Long]](0)
   /** The snapshot a single-segment query's END combines with: its START alone. */
   private val UnitSnap = Array(1L)
-
-  /** One weighted cell of a segment: all its START events at one
-    * timestamp. `counts(j)` = number of matches of the segment's first
-    * `j+1` types starting at any of these STARTs (`counts(0)` is the
-    * number of STARTs).
-    */
-  final class StartState(val time: Long, nLevels: Int, nSnaps: Int) {
-    val counts = new Array[Long](nLevels)
-    counts(0) = 1L
-    /** Per reader at position >= 1: the snapshot taken at these STARTs. */
-    val snaps = if (nSnaps == 0) NoSnaps else new Array[Array[Long]](nSnaps)
-    /** Matches that all of this timestamp's completing events end here
-      * (phases 2 → 3).
-      */
-    var delta = 0L
-  }
 }

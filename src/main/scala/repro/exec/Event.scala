@@ -6,6 +6,21 @@ package repro.exec
   */
 final case class Event(key: Long, time: Long, etype: Int)
 
+object Event {
+
+  /** Key, then time, then type: each key group contiguous and in the
+    * order the engine takes it. Allocates nothing per comparison.
+    */
+  val order: java.util.Comparator[Event] = (a, b) => {
+    val byKey = java.lang.Long.compare(a.key, b.key)
+    if (byKey != 0) byKey
+    else {
+      val byTime = java.lang.Long.compare(a.time, b.time)
+      if (byTime != 0) byTime else Integer.compare(a.etype, b.etype)
+    }
+  }
+}
+
 /** Per-key partial result: sequence count of `queryId` in the window
   * starting at `windowStart`, restricted to one key group. Workload
   * results sum this over keys (the `[vehicle]` predicate partitions

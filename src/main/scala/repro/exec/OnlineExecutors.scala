@@ -7,11 +7,12 @@ import repro.core.Model._
 import CompiledPlan._
 
 /** The online executors of the paper's §8.2 on Spark: the per-key shared
-  * stateful operator is realized as
-  * `repartition(key).sortWithinPartitions(key, time).mapPartitions` — each
-  * task runs its key groups back to back, one [[KeyGroupEngine]] per key
-  * group evaluating the *whole workload* from the compiled sharing graph,
-  * so shared segment states are reused across queries inside the operator.
+  * stateful operator is realized as `repartition(key).mapPartitions` —
+  * each task holds its partition as one array, sorts it once by key, time
+  * and type ([[Event.order]]), and runs its key groups back to back, one
+  * [[KeyGroupEngine]] per key group evaluating the *whole workload* from
+  * the compiled sharing graph, so shared segment states are reused across
+  * queries inside the operator.
   * Each task sums its key groups' counts per `(query, window)`, and the
   * driver merges the tasks' sums; both sums are exact ([[WindowSums]]). No
   * Spark stage runs after the engine's.
@@ -31,20 +32,19 @@ object OnlineExecutors {
     val acc = spark.sparkContext.collectionAccumulator[EngineMetrics]("engine-metrics")
     val perTask = events
       .repartition($"key")
-      .sortWithinPartitions($"key", $"time", $"etype")
       .mapPartitions { it =>
-        val sums    = new WindowSums
-        val meters  = new EngineMetrics // one meter per key group, merged
-        val rows    = it.buffered
-        while (rows.hasNext) {
-          val key   = rows.head.key
-          val group = new Iterator[Event] {
-            def hasNext: Boolean = rows.hasNext && rows.head.key == key
-            def next(): Event    = rows.next()
-          }
+        val rows = it.toArray
+        java.util.Arrays.sort(rows, Event.order)
+        val sums   = new WindowSums
+        val meters = new EngineMetrics // one meter per key group, merged
+        var from   = 0
+        while (from < rows.length) {
+          var until = from + 1
+          while (until < rows.length && rows(until).key == rows(from).key) until += 1
           val metrics = new EngineMetrics
-          new KeyGroupEngine(cw, metrics).run(group).foreach(sums.add)
+          new KeyGroupEngine(cw, metrics).run(rows.iterator.slice(from, until)).foreach(sums.add)
           meters.merge(metrics)
+          from = until
         }
         acc.add(meters)
         sums.iterator

@@ -13,9 +13,10 @@ import repro.exec.CompiledPlan.CompiledWorkload
   * runtime executor. Batch and streaming execution produce identical
   * counts (tested), since the engine is incremental by construction.
   *
-  * State lives driver-side (local deployment): micro-batches are small
-  * and arrive time-ordered, which preserves the per-key in-order
-  * requirement of the engine.
+  * State lives driver-side (local deployment): micro-batches are small,
+  * cut on event time, and each is sorted once by key, time and type
+  * ([[Event.order]]), which preserves the per-key in-order requirement of
+  * the engine.
   */
 object StructuredSharon {
 
@@ -25,8 +26,8 @@ object StructuredSharon {
       metrics: EngineMetrics,
       batches: Long)
 
-  /** Runs `events` (already time-sorted) through a streaming query in
-    * micro-batches of `batchSeconds` event time.
+  /** Runs `events`, in any order, through a streaming query in
+    * micro-batches of `batchSeconds` event time, each sorted on arrival.
     */
   def run(spark: SparkSession, events: Seq[Event], cw: CompiledWorkload,
           batchSeconds: Long): StreamRunResult = {
@@ -50,7 +51,8 @@ object StructuredSharon {
     val query = source.toDS().writeStream
       .outputMode("update")
       .foreachBatch { (batch: Dataset[Event], batchId: Long) =>
-        val rows = batch.collect().sortBy(e => (e.time, e.etype))
+        val rows = batch.collect()
+        java.util.Arrays.sort(rows, Event.order)
         rows.foreach { e =>
           engines.getOrElseUpdate(e.key, new KeyGroupEngine(cw, metrics)).feed(e)
         }
@@ -63,7 +65,7 @@ object StructuredSharon {
     var batches = 0L
     try {
       events.groupBy(_.time / batchSeconds).toSeq.sortBy(_._1).foreach { case (_, chunk) =>
-        source.addData(chunk.sortBy(_.time))
+        source.addData(chunk)
         query.processAllAvailable()
         batches += 1
       }

@@ -72,6 +72,16 @@ class ExpansionSpec extends AnyFunSuite {
     assert(Expansion.expandGraph(g, unitWeigh, maxOptions = 1) == g)
   }
 
+  test("no candidate gains an option: the expanded graph is the constructed one") {
+    // Fig 4 without p1: every candidate has two queries, so none can drop one.
+    val pairs = SharonGraph.fromCandidates(g.vertices.filter(_.queries.size == 2))
+    assert(pairs.size == 6 && pairs.edgeCount > 0)
+    val eg       = Expansion.expandGraph(pairs, unitWeigh, Optimizer.MaxOptions)
+    val expected = SharonGraph.fromCandidates(pairs.vertices)
+    assert(eg.vertices == expected.vertices)
+    assert(eg.adj == expected.adj)
+  }
+
   test("Example 15: expanded graph contains p1's options and singleton sets elsewhere") {
     val eg = Expansion.expandGraph(g, unitWeigh, Optimizer.MaxOptions)
     val p1Opts = eg.vertices.filter(_.pattern == p1)

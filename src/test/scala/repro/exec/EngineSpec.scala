@@ -479,6 +479,50 @@ class EngineSpec extends AnyFunSuite {
     assert(deepest > 0) // some seed counts across all three segments
   }
 
+  test("many live START cells: the cell arrays grow, compact and empty, and counts stay exact") {
+    val win = WindowSpec(40, 8)
+    val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
+    val plans = Seq(
+      "Sharon" -> CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids),
+      "A-Seq" -> CompiledPlan.nonShared(w, ids))
+    assert(plans(0)._2.queries(2).segments.map(_.types) == Vector(Vector(0), Vector(1, 2), Vector(3)))
+    // Three bursts of 200 s, 60 s apart: a gap longer than the 48 s a
+    // START lives empties every segment. Within a burst, As (often two at
+    // once) and Bs arrive in most seconds; Cs and Ds are sparse.
+    def stream(seed: Long): Seq[Event] = {
+      val rnd   = new scala.util.Random(seed)
+      val rates = Seq("A" -> 0.8, "A" -> 0.3, "B" -> 0.8, "C" -> 0.15, "D" -> 0.15)
+      for (burst <- 0 until 3; t <- 260L * burst until 260L * burst + 200;
+           (ty, p) <- rates if rnd.nextDouble() < p) yield ev(t, ty)
+    }
+    for (seed <- 0L until 3L) {
+      val events = stream(seed)
+      // More than 32 START timestamps of A and of B live at once, and over
+      // 128 in a burst: the 16-cell arrays double to 128 and then compact.
+      for (ty <- Seq("A", "B")) {
+        val times = events.filter(_.etype == ids(ty)).map(_.time).distinct
+        assert(times.exists(t => times.count(u => u <= t && u > t - 48) > 32), s"$ty seed=$seed")
+        assert(times.count(_ < 200) > 128, s"$ty seed=$seed")
+      }
+      val brute = bruteWorkload(events, w, ids)
+      assert(brute.keys.exists(_._1 == 2), s"seed=$seed")
+      for ((name, cw) <- plans) assert(runEngine(cw, events)._1 == brute, s"$name seed=$seed")
+    }
+  }
+
+  test("Event.order sorts by key, then time, then type") {
+    val events = for (key <- Seq(Long.MinValue, -1L, 0L, 3L, Long.MaxValue);
+                      time <- Seq(0L, 5L, Long.MaxValue); etype <- Seq(-1, 0, 2, Int.MaxValue))
+      yield Event(key, time, etype)
+    val shuffled = new scala.util.Random(1L).shuffle(events).toArray
+    java.util.Arrays.sort(shuffled, Event.order)
+    assert(shuffled.toSeq == events)
+    assert(Event.order.compare(Event(1L, 0L, 0), Event(0L, 9L, 9)) > 0)
+    assert(Event.order.compare(Event(0L, 1L, 0), Event(0L, 0L, 9)) > 0)
+    assert(Event.order.compare(Event(0L, 0L, 1), Event(0L, 0L, 0)) > 0)
+    assert(Event.order.compare(Event(0L, 0L, 0), Event(0L, 0L, 0)) == 0)
+  }
+
   test("negative timestamps are rejected") {
     val w      = workloadOf(WindowSpec(10, 5), Pattern("A", "B", "C"), Pattern("B", "C"))
     val events = Seq(ev(-3, "A"), ev(-2, "B"), ev(-1, "C"))

@@ -1,7 +1,7 @@
 package repro.exec
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Dataset}
 import repro.{Oracle, OracleSql, SparkSpec}
 import repro.core.{Candidate, Optimizer}
 import repro.core.Model._
@@ -172,26 +172,52 @@ class SparkExecutorsSpec extends SparkSpec {
     assert(asMap(aseq.counts) == asMap(sharon.counts))
   }
 
-  test("dense ties over many keys: online executors match the oracle") {
-    // About 4 events per key and second: many STARTs and completions of one
-    // segment share a timestamp. Three shuffle partitions for 8 keys make
-    // some task run several key groups back to back.
-    val w    = WorkloadGen.traffic(WindowSpec(8, 4))
-    val ev   = StreamGen.uniform(spark, 800, 24, nTypes, numKeys = 8, seed = 13).cache()
-    val rows = ev.collect()
-    assert(rows.groupBy(e => (e.key, e.time, e.etype)).exists(_._2.length > 1))
-    val r    = Rates(typeIds.map { case (n, _) => n -> 800.0 / 24 / nTypes })
-    val plan = Optimizer.sharon(w, r).plan
-    assert(plan.nonEmpty)
+  // About 4 events per key and second: many STARTs and completions of one
+  // segment share a timestamp.
+  private lazy val denseW    = WorkloadGen.traffic(WindowSpec(8, 4))
+  private lazy val denseEv   = StreamGen.uniform(spark, 800, 24, nTypes, numKeys = 8, seed = 13).cache()
+  private lazy val densePlan =
+    Optimizer.sharon(denseW, Rates(typeIds.map { case (n, _) => n -> 800.0 / 24 / nTypes })).plan
+
+  /** Runs A-Seq and Sharon over `ev` on three shuffle partitions, so that
+    * some task runs several of the 8 key groups back to back, and checks
+    * both against the oracle.
+    */
+  private def checkDense(ev: Dataset[Event]): Unit = {
+    val n = ev.count()
     val partitions = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", 3L)
     try for ((name, res) <- Seq(
-        "A-Seq" -> OnlineExecutors.runASeq(spark, ev, w, typeIds),
-        "Sharon" -> OnlineExecutors.runSharon(spark, ev, w, plan, typeIds))) withClue(name) {
-      assert(res.metrics.events == rows.length)
-      Oracle.assertEquivalent(res.counts, OracleSql.workloadSql(w, typeIds),
-        "events" -> ev.toDF(), "windows" -> OracleSql.windowStarts(24, w.window).toDF("ws"))
+        "A-Seq" -> OnlineExecutors.runASeq(spark, ev, denseW, typeIds),
+        "Sharon" -> OnlineExecutors.runSharon(spark, ev, denseW, densePlan, typeIds))) withClue(name) {
+      assert(res.metrics.events == n)
+      Oracle.assertEquivalent(res.counts, OracleSql.workloadSql(denseW, typeIds),
+        "events" -> ev.toDF(), "windows" -> OracleSql.windowStarts(24, denseW.window).toDF("ws"))
     } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
+
+  test("dense ties over many keys: online executors match the oracle") {
+    val rows = denseEv.collect()
+    assert(rows.groupBy(e => (e.key, e.time, e.etype)).exists(_._2.length > 1))
+    assert(densePlan.nonEmpty)
+    checkDense(denseEv)
+  }
+
+  test("unsorted input over several partitions: online executors match the oracle") {
+    // The dense-tie stream in reverse, so every partition runs backwards in time.
+    val rows     = denseEv.collect().reverse.toSeq
+    val reversed = spark.sparkContext.parallelize(rows, 5).toDS()
+    assert(reversed.rdd.getNumPartitions == 5)
+    assert(reversed.rdd.glom().collect().forall(p => p.length > 1 && p.head.time > p.last.time))
+    checkDense(reversed)
+    // Streaming sorts each micro-batch too.
+    val streamed = StructuredSharon.run(spark, rows,
+      CompiledPlan.compile(denseW, densePlan, typeIds), batchSeconds = 4).emitted
+    Oracle.assertEquivalent(
+      streamed.filter(_.count != 0).map(r => (r.queryId, r.windowStart, r.count))
+        .toDF("query_id", "window_start", "cnt"),
+      OracleSql.workloadSql(denseW, typeIds),
+      "events" -> reversed.toDF(), "windows" -> OracleSql.windowStarts(24, denseW.window).toDF("ws"))
   }
 
   test("parametric workload at larger key counts: Sharon == A-Seq") {
