@@ -4,10 +4,11 @@ import Model._
 
 /** Sharing benefit model (paper §3, Equations 1–8).
   *
-  * Costs are CPU time-complexity estimates expressed in per-second event
-  * rates; they compare the Non-Shared method (A-Seq per query, §3.2)
-  * against the Shared method (shared pattern aggregated once, prefix and
-  * suffix combined per query, §3.3).
+  * Costs are CPU time-complexity estimates over per-window rates
+  * ([[Model.Rates]]), so they count operations per window. They compare
+  * the Non-Shared method (A-Seq per query, §3.2) against the Shared
+  * method (shared pattern aggregated once, prefix and suffix combined
+  * per query, §3.3).
   */
 object CostModel {
 

@@ -23,9 +23,6 @@ object Model {
     /** First event type — its matches are the START events (Definition 1). */
     def startType: EventType = types.head
 
-    /** Last event type — its matches are the END events. */
-    def endType: EventType = types.last
-
     /** All contiguous sub-patterns of length > 1 (Appendix A, Alg 7). */
     def subPatterns: Seq[Pattern] =
       for {
@@ -143,13 +140,26 @@ object Model {
       Workload(patterns.zipWithIndex.map { case (p, i) => Query(i, p, window) }.toVector)
   }
 
-  /** Per-type event arrival rates (events/sec) driving the cost model
-    * (§3, Eq 1). Types missing from the map have rate 0.
+  /** Per-type event rates driving the cost model (§3, Eq 1), in events
+    * **per window**. In that unit the quadratic terms (Eqs 2, 4) count a
+    * window's count updates and the triple product of Eq 5 counts a
+    * window's prefix × p × suffix START multiplications, as the executor
+    * performs them; per-second rates would under-price Eq 5 by a factor
+    * of the window length (DESIGN.md, "Cost-model rate units"). Types
+    * missing from the map have rate 0.
     */
   final case class Rates(perType: Map[EventType, Double]) {
     def apply(t: EventType): Double = perType.getOrElse(t, 0.0)
 
     /** `Rate(P) = Σ_j Rate(E_j)` — rate of events matched by `P` (Eq 1). */
     def ofPattern(types: Seq[EventType]): Double = types.map(apply).sum
+  }
+
+  object Rates {
+    /** `eventsPerWindow` split evenly over `types`. */
+    def perWindow(eventsPerWindow: Long, types: Iterable[EventType]): Rates = {
+      val share = eventsPerWindow.toDouble / types.size
+      Rates(types.map(_ -> share).toMap)
+    }
   }
 }

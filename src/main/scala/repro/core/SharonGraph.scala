@@ -68,7 +68,6 @@ final case class SharonGraph(vertices: Vector[Candidate], adj: Vector[Set[Int]])
   def neighbors(i: Int): Set[Int] = adj(i)
   def hasEdge(i: Int, j: Int): Boolean = adj(i).contains(j)
   def edgeCount: Int = adj.map(_.size).sum / 2
-  def totalWeight: Double = vertices.map(_.weight).sum
 
   /** GWMIN's guaranteed weight `Σ_v weight(v)/(degree(v)+1)` (Eq 10). */
   def guaranteedWeight: Double =

@@ -33,7 +33,7 @@ final class EngineMetrics extends Serializable {
     events += o.events
     countUpdates += o.countUpdates
     combMults += o.combMults
-    // Key groups run concurrently: peaks are additive in the worst case.
+    // The sum of the key groups' peaks, each taken over its own run.
     peakStateUnits += o.peakStateUnits
     curStateUnits += o.curStateUnits
   }

@@ -45,10 +45,7 @@ object Fig13TwoStepVsOnline {
       val nEvents = epw.toLong * duration / Window.lengthSec
       withCached(StreamGen.linearRoadLike(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
         val eventsDf = events.toDF()
-        // Per-window rate units (see StreamGen.perWindowRates).
-        val rates = Rates(typeIds.map { case (n, _) =>
-          n -> epw.toDouble / nTypes })
-        val plan = Optimizer.sharon(workload, rates).plan
+        val plan = Optimizer.sharon(workload, Rates.perWindow(epw, typeIds.keys)).plan
         val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
         val s = OnlineExecutors.runSharon(spark, events, workload, plan, typeIds)
         val twoStep = Option.when(epw <= TwoStepCutoff)(

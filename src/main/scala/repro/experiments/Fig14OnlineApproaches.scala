@@ -64,10 +64,7 @@ object Fig14OnlineApproaches {
     val nEvents  = st.epw.toLong * duration / Window.lengthSec
     val workload = WorkloadGen.generate(st.queries, st.len, nTypes, NumBackbones, Window, Seed)
     val typeIds  = StreamGen.typeIds(nTypes)
-    // Cost-model rates in events/window (dimensionally consistent units
-    // for Eq 5 — see StreamGen.perWindowRates).
-    val rates    = StreamGen.perWindowRates(st.epw, nTypes)
-    val so = Optimizer.sharon(workload, rates)
+    val so = Optimizer.sharon(workload, StreamGen.perWindowRates(st.epw, nTypes))
     withCached(StreamGen.uniform(spark, nEvents, duration, nTypes, NumKeys, Seed)) { events =>
       val a = OnlineExecutors.runASeq(spark, events, workload, typeIds)
       val s = OnlineExecutors.runSharon(spark, events, workload, so.plan, typeIds)

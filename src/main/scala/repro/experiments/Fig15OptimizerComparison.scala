@@ -24,10 +24,8 @@ object Fig15OptimizerComparison {
   private val NumTypes     = 50
   private val NumBackbones = 3
   private val Window       = WindowSpec(1200, 60)
-  // Total stream rate in events per window (~3k ev/s over a 1200 s
-  // window), split uniformly over the items — the per-window rate
-  // units of the cost model (StreamGen.perWindowRates).
-  private val TotalEventsPerWindow = 3000.0 * 1200
+  // About 3k events/s over the 1200 s window.
+  private val TotalEventsPerWindow = 3000L * 1200
   private val Seed  = 29L
   // The optimizers take milliseconds: each is timed as the median of this
   // many calls, so one slow call does not decide which is faster.
@@ -38,8 +36,7 @@ object Fig15OptimizerComparison {
                          eo: Optimizer.Result)
 
   def run(numQueries: Seq[Int]): Seq[Point] = {
-    val rates = Rates((0 until NumTypes)
-      .map(i => StreamGen.typeName(i) -> TotalEventsPerWindow / NumTypes).toMap)
+    val rates = StreamGen.perWindowRates(TotalEventsPerWindow, NumTypes)
     def point(nq: Int, seed: Long): Point = {
       val w = WorkloadGen.generate(nq, PatternLen, NumTypes, NumBackbones, Window, seed)
       // The optimizers are called in turn, so a slow stretch of the host

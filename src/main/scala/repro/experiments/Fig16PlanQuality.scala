@@ -42,13 +42,7 @@ object Fig16PlanQuality {
     numClusters.map { nc =>
       val w       = WorkloadGen.trafficClusters(nc, Window)
       val typeIds = CompiledPlan.typeDictionary(w)
-      // Cost-model rates are per (window, key): the executor's state is
-      // partitioned by the [vehicle] predicate, so per-key magnitudes
-      // are what balance the quadratic vs cubic terms of Eqs 2–5.
-      val profile = WorkloadGen.trafficClusterRates
-      val rates = Rates(typeIds.keys.map { t =>
-        t -> profile(t.dropWhile(_ != '_').drop(1))
-      }.toMap)
+      val rates   = WorkloadGen.clusterRates(w)
       val epw     = rates.perType.values.sum * NumKeys
       val nEvents = (epw * duration / Window.lengthSec).toLong
       // Weighted stream matching the rate profile (dictionary order).

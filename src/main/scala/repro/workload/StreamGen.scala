@@ -1,6 +1,6 @@
 package repro.workload
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Column, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, LongType}
 import repro.core.Model.{EventType, Rates}
@@ -24,32 +24,22 @@ object StreamGen {
     (0 until numTypes).map(i => typeName(i) -> i).toMap
 
   /** Uniform stream: `numEvents` events spread evenly over
-    * `durationSec`, types and keys i.i.d. uniform — the taxi stand-in
-    * (rates are what the cost model consumes).
+    * `durationSec`, types and keys i.i.d. uniform — the taxi stand-in.
     */
   def uniform(spark: SparkSession, numEvents: Long, durationSec: Long,
-              numTypes: Int, numKeys: Int, seed: Long = 7): Dataset[Event] = {
-    import spark.implicits._
-    spark.range(numEvents).select(
-      pmod(hash($"id" + lit(seed * 1000003L)), lit(numKeys)).cast(LongType).as("key"),
-      (($"id" * durationSec) / numEvents).cast(LongType).as("time"),
-      pmod(hash($"id" + lit(seed * 7919L + 1L)), lit(numTypes)).cast(IntegerType).as("etype"),
-    ).as[Event]
-  }
+              numTypes: Int, numKeys: Int, seed: Long = 7): Dataset[Event] =
+    events(spark, numEvents, numKeys, seed)(
+      _ * durationSec / numEvents, pmod(_, lit(numTypes)))
 
   /** Linear-Road-like stream: event rate ramps up over the run (the LR
     * generator's rate grows from dozens to thousands of events/s). Times
     * follow `duration * sqrt(u)` so density grows linearly with time.
     */
   def linearRoadLike(spark: SparkSession, numEvents: Long, durationSec: Long,
-                     numTypes: Int, numKeys: Int, seed: Long = 11): Dataset[Event] = {
-    import spark.implicits._
-    spark.range(numEvents).select(
-      pmod(hash($"id" + lit(seed * 1000003L)), lit(numKeys)).cast(LongType).as("key"),
-      floor(lit(durationSec) * sqrt($"id".cast("double") / numEvents)).cast(LongType).as("time"),
-      pmod(hash($"id" + lit(seed * 7919L + 1L)), lit(numTypes)).cast(IntegerType).as("etype"),
-    ).as[Event]
-  }
+                     numTypes: Int, numKeys: Int, seed: Long = 11): Dataset[Event] =
+    events(spark, numEvents, numKeys, seed)(
+      id => floor(lit(durationSec) * sqrt(id.cast("double") / numEvents)),
+      pmod(_, lit(numTypes)))
 
   /** Weighted-type stream: type `i` is drawn with probability
     * `weights(i) / Σ weights`, uniformly over time and keys. Used when
@@ -59,7 +49,6 @@ object StreamGen {
   def weighted(spark: SparkSession, numEvents: Long, durationSec: Long,
                weights: IndexedSeq[Double], numKeys: Int,
                seed: Long = 19): Dataset[Event] = {
-    import spark.implicits._
     require(weights.nonEmpty && weights.forall(_ >= 0) && weights.sum > 0)
     val cum   = weights.scanLeft(0.0)(_ + _).tail.toArray
     val total = cum.last
@@ -72,33 +61,28 @@ object StreamGen {
       }
       lo
     }
+    events(spark, numEvents, numKeys, seed)(
+      _ * durationSec / numEvents, h => pick(pmod(h, lit(1000000)) / 1000000.0))
+  }
+
+  /** Rows `0 until numEvents` as events. A row's key and the hash its type
+    * is drawn from depend only on its id and `seed`; `time` maps the id
+    * column to the event time and `etype` maps the type hash to the type.
+    */
+  private def events(spark: SparkSession, numEvents: Long, numKeys: Int, seed: Long)
+                    (time: Column => Column, etype: Column => Column): Dataset[Event] = {
+    import spark.implicits._
+    val id = $"id"
     spark.range(numEvents).select(
-      pmod(hash($"id" + lit(seed * 1000003L)), lit(numKeys)).cast(LongType).as("key"),
-      (($"id" * durationSec) / numEvents).cast(LongType).as("time"),
-      pick(pmod(hash($"id" + lit(seed * 7919L + 1L)), lit(1000000)) / 1000000.0)
-        .cast(IntegerType).as("etype"),
+      pmod(hash(id + lit(seed * 1000003L)), lit(numKeys)).cast(LongType).as("key"),
+      time(id).cast(LongType).as("time"),
+      etype(hash(id + lit(seed * 7919L + 1L))).cast(IntegerType).as("etype"),
     ).as[Event]
   }
 
-  /** Expected per-type rates (events/sec) of [[uniform]] streams — the
-    * optimizer's cost-model input (Eq 1).
-    */
-  def uniformRates(numEvents: Long, durationSec: Long, numTypes: Int): Rates =
-    Rates((0 until numTypes).map { i =>
-      typeName(i) -> numEvents.toDouble / durationSec / numTypes
-    }.toMap)
-
-  /** Per-type rates in events **per window**. This is the unit that makes
-    * the paper's cost model dimensionally consistent: with per-window
-    * rates, the quadratic terms (Eqs 2, 4) count per-window count
-    * updates and the triple-product combination term (Eq 5) counts
-    * per-window (prefix START × p START × suffix START) multiplications —
-    * matching what the executor actually does. Per-second rates would
-    * underprice combination by a factor of the window length, making the
-    * optimizer over-share on hot streams (see DESIGN.md).
+  /** [[uniform]]'s rates: `eventsPerWindow` split evenly over the types
+    * `T000..T{numTypes-1}` ([[Rates.perWindow]]).
     */
   def perWindowRates(eventsPerWindow: Long, numTypes: Int): Rates =
-    Rates((0 until numTypes).map { i =>
-      typeName(i) -> eventsPerWindow.toDouble / numTypes
-    }.toMap)
+    Rates.perWindow(eventsPerWindow, (0 until numTypes).map(typeName))
 }

@@ -70,6 +70,14 @@ object WorkloadGen {
     "LindenSt" -> 0.81, "ParkAve" -> 7.21, "EastPark" -> 0.67, "ElmSt" -> 0.99,
     "GreenHill" -> 6.25)
 
+  /** Cost-model rates of a [[trafficClusters]] workload: each type
+    * `C<i>_<street>` gets its street's [[trafficClusterRates]] rate, in
+    * events per window *and key*.
+    */
+  def clusterRates(w: Workload): Rates =
+    Rates(w.queries.flatMap(_.pattern.types).distinct
+      .map(t => t -> trafficClusterRates(t.dropWhile(_ != '_').drop(1))).toMap)
+
   /** Parametric workload over the dictionary-coded alphabet of
     * [[StreamGen]] (types `T000..T{numTypes-1}`).
     *

@@ -8,10 +8,9 @@ class PatternSpec extends AnyFunSuite {
   private val abc  = Pattern("A", "B", "C")
   private val abcd = Pattern("A", "B", "C", "D")
 
-  test("length and start/end types") {
+  test("length and start type") {
     assert(abc.length == 3)
     assert(abc.startType == "A")
-    assert(abc.endType == "C")
   }
 
   test("single-type pattern is allowed by the model (length 1)") {

@@ -69,7 +69,7 @@ class SharonGraphSpec extends AnyFunSuite {
   }
 
   test("Score_max of a conflict-free vertex is the total weight") {
-    assert(g.scoreMax(idx(g, p7)) == g.totalWeight)
+    assert(g.scoreMax(idx(g, p7)) == g.vertices.map(_.weight).sum)
   }
 
   test("no conflict without a common query even if patterns overlap") {

@@ -225,8 +225,9 @@ class SparkExecutorsSpec extends SparkSpec {
       numBackbones = 2, window = WindowSpec(60, 20), seed = 9)
     val ids  = StreamGen.typeIds(10)
     val ev   = StreamGen.uniform(spark, 500, 300, 10, numKeys = 16, seed = 11).cache()
-    val r    = StreamGen.uniformRates(500, 300, 10)
-    val plan = Optimizer.sharon(w, r).plan
+    // 500 events over 300 s: 100 per 60 s window.
+    val plan = Optimizer.sharon(w, StreamGen.perWindowRates(100, 10)).plan
+    assert(plan.nonEmpty)
     val a = asMap(OnlineExecutors.runASeq(spark, ev, w, ids).counts)
     val s = asMap(OnlineExecutors.runSharon(spark, ev, w, plan, ids).counts)
     assert(a == s)

@@ -3,7 +3,6 @@ package repro.experiments
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Model._
 import repro.core.Optimizer
-import repro.exec.CompiledPlan
 import repro.workload.{StreamGen, WorkloadGen}
 
 /** SO completes under the default budgets of [[Optimizer]] on the largest
@@ -24,10 +23,8 @@ class DefaultBudgetsSpec extends AnyFunSuite {
 
   /** Fig 16's traffic clusters, with hot and rare street rates per window and key. */
   private def clusters(n: Int): (Workload, Rates) = {
-    val w       = WorkloadGen.trafficClusters(n, window)
-    val profile = WorkloadGen.trafficClusterRates
-    (w, Rates(CompiledPlan.typeDictionary(w).keys
-      .map(t => t -> profile(t.dropWhile(_ != '_').drop(1))).toMap))
+    val w = WorkloadGen.trafficClusters(n, window)
+    (w, WorkloadGen.clusterRates(w))
   }
 
   test(s"SO completes under the default budgets: Fig 15 at ${Fig15OptimizerComparison.sweep.max} queries") {

@@ -44,12 +44,13 @@ class StreamGenSpec extends SparkSpec {
     assert(secondHalf > firstHalf * 2) // density grows with time
   }
 
-  test("uniformRates matches the empirical per-type rate") {
-    val r  = StreamGen.uniformRates(10000, 1000, 4)
-    assert(math.abs(r(StreamGen.typeName(0)) - 2.5) < 1e-9)
+  test("perWindowRates matches the empirical per-type count in one window") {
+    // 10000 events over 1000 s: 1000 per 100 s window.
+    val r  = StreamGen.perWindowRates(1000, 4)
+    assert(r(StreamGen.typeName(0)) == 250.0)
     val ev = StreamGen.uniform(spark, 10000, 1000, 4, 5).collect()
-    val measured = ev.count(_.etype == 0).toDouble / 1000
-    assert(math.abs(measured - 2.5) < 0.5)
+    val measured = ev.count(e => e.etype == 0 && e.time < 100)
+    assert(math.abs(measured - 250) < 50)
   }
 
   test("typeIds maps the alphabet densely") {

@@ -68,6 +68,20 @@ class WorkloadGenSpec extends AnyFunSuite {
     assert(d.size == 21) // 7 candidates per cluster
   }
 
+  test("rate builders: uniform split, perWindowRates, cluster profile") {
+    assert(math.abs(Rates.perWindow(1000, Seq("A", "B", "C")).perType.values.sum - 1000) < 1e-9)
+    assert(StreamGen.perWindowRates(900, 4) ==
+      Rates.perWindow(900, (0 until 4).map(StreamGen.typeName)))
+    // Cluster query 7i + k is q_k over cluster i's copies of q_k's streets.
+    val w     = WorkloadGen.trafficClusters(3)
+    val r     = WorkloadGen.clusterRates(w)
+    val base  = WorkloadGen.traffic().queries
+    val pairs = w.queries.zipWithIndex.flatMap { case (q, j) =>
+      q.pattern.types.zip(base(j % 7).pattern.types) }
+    assert(r.perType.keySet == pairs.map(_._1).toSet)
+    pairs.foreach { case (t, street) => assert(r(t) == WorkloadGen.trafficClusterRates(street)) }
+  }
+
   test("trafficClusterRates covers the full street alphabet") {
     val streets = WorkloadGen.traffic().queries.flatMap(_.pattern.types).toSet
     assert(WorkloadGen.trafficClusterRates.keySet == streets)
