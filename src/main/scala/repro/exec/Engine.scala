@@ -9,15 +9,22 @@ import KeyGroupEngine._
   * event sequence aggregation without sequence construction.
   *
   * Events arrive in time order. Each *segment runtime* implements the
-  * A-Seq kernel (§3.2, Fig 6): one count per segment prefix per
-  * non-expired START timestamp; shared segments are evaluated once for all
-  * subscribing queries. The STARTs of one segment at one timestamp share
-  * their time, panes, windows, expiry and snapshot, and every level update
-  * is linear, so they are one weighted cell whose level 0 is their number
-  * (the tie-level form of pane aggregation). A segment keeps its live
-  * cells in flat primitive arrays, one per field and one per level, so a
-  * level update is one pass over two contiguous `Long` arrays; a cell is
-  * an index, not an object. Each *query runtime*
+  * A-Seq kernel (§3.2, Fig 6): one count per segment prefix per live
+  * START cell; shared segments are evaluated once for all subscribing
+  * queries. Every level update is linear and applies to every live cell
+  * alike, so STARTs with the same windows (the same pane `time / slide`
+  * and the same first window) and the same snapshot at every reader
+  * evolve identically once admitted: they are one weighted cell, whose
+  * level 0 is their number and whose time is its first START's (pane
+  * aggregation, Li et al., "No pane, no gain", SIGMOD Record 2005). A
+  * segment read only at position 0 takes no snapshots, so it keeps one
+  * cell per pane: per-pane A-Seq. A segment read at a later position
+  * keeps one cell per run of STARTs in one pane during which its readers'
+  * prefix counts do not change; the STARTs of one timestamp are the
+  * shortest such run. A segment keeps its live cells in flat primitive
+  * arrays, one per field and one per level, so a level update is one pass
+  * over two contiguous `Long` arrays; a cell is an index, not an object.
+  * Each *query runtime*
   * implements count combination (§3.3, Fig 7): when segment `S_j`'s START
   * event `c` arrives it
   * snapshots the running combined count of `S_1..S_{j-1}`; when sequences
@@ -43,15 +50,20 @@ import KeyGroupEngine._
   * written yet: (1) queries snapshot at the new START cells from earlier
   * ones; (2) segments advance their earlier START cells, highest level
   * first, record each completing cell once with the matches of every
-  * completing event of the timestamp, and admit the new cells; (3) queries
+  * completing event of the timestamp, and admit each new cell or join it
+  * to the segment's last live cell; (3) queries
   * combine the completions; (4) the per-timestamp state is cleared.
   *
   * Counts are exact: an update that would overflow a `Long` throws
   * `ArithmeticException` instead of wrapping around, naming the segment
-  * and START time, or the query and window start, where it happened. Only
-  * a count the engine stores can overflow: a START cell's count, a pane's sum
-  * (never more than the count of the window starting at that pane) or a
-  * window result. A sum of panes that no window holds is never formed.
+  * and its cell's first START time, or the query and window start, where
+  * it happened. Only a count the engine stores can overflow: a START
+  * cell's count, a pane's sum (never more than the count of the window
+  * starting at that pane) or a window result. A sum of panes that no
+  * window holds is never formed, but a cell's count sums the matches of
+  * every START with its windows, a segment need not be a whole query, and
+  * a level below the last counts prefixes: so a cell can refuse a count
+  * that no window result holds. The refusal is still loud; no count wraps.
   */
 final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
   private val win: WindowSpec = cw.window
@@ -60,10 +72,13 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     * when the plan says so (one instance per distinct shareKey).
     *
     * The live START cells are the range `[lo, hi)` of flat, time-ordered
-    * arrays: `times(i)` is cell `i`'s timestamp, `lv(j)(i)` its level-`j`
-    * count, `snaps(s)(i)` the snapshot of reader slot `s` taken at it and
-    * `deltas(i)` its completions of this timestamp. This timestamp's new
-    * cell is written at `hi` and joins the range in phase 2.
+    * arrays: `times(i)` is the timestamp of cell `i`'s first START,
+    * `lv(j)(i)` its level-`j` count, `snaps(s)(i)` the snapshot of reader
+    * slot `s` taken at it and `deltas(i)` its completions of this
+    * timestamp. A cell holds the STARTs with its windows that arrived
+    * while every reader's snapshot stayed the same. This timestamp's new
+    * cell is written at `hi`; in phase 2 it joins the last live cell if
+    * it evolves as that one does, else the range.
     */
   final class SegmentRuntime(val types: Vector[Int]) {
     private val last = types.size - 1
@@ -129,7 +144,8 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
     /** Phase 2: each level-`j` event adds every earlier START cell's count
       * one level down. Levels go highest first, so each reads the count as
       * of the previous timestamp. A completing cell is recorded once, with
-      * the matches of all `h` completing events.
+      * the matches of all `h` completing events. Then the new cell joins
+      * the last live cell (see `joins`) or is admitted to the range.
       */
     def advance(): Unit = {
       var j = last
@@ -155,16 +171,35 @@ final class KeyGroupEngine(cw: CompiledWorkload, metrics: EngineMetrics) {
           }
           j -= 1
         }
+        if (started) {
+          metrics.countUpdates += 1
+          val n = lv(0)(hi)
+          i = hi - 1
+          if (i >= lo && joins(i)) {
+            lv(0)(i) = Math.addExact(lv(0)(i), n)
+            var s = 0
+            while (s < snaps.length) { metrics.removeState(snaps(s)(hi).length.toLong + 1); snaps(s)(hi) = null; s += 1 }
+          } else { i = hi; hi += 1; metrics.addState(types.size) }
+          // A single-type segment completes at its own START events.
+          if (last == 0) { deltas(i) = n; completed(nCompleted) = i; nCompleted += 1 }
+        }
       } catch { case _: ArithmeticException => throw new ArithmeticException(
         s"count of segment (${types.map(cw.typeIds.map(_.swap)).mkString(",")}) " +
           s"from its START at ${times(i)} overflows a Long") }
-      if (started) {
-        // A single-type segment completes at its own START events.
-        if (last == 0) { deltas(hi) = lv(0)(hi); completed(nCompleted) = hi; nCompleted += 1 }
-        metrics.countUpdates += 1
-        metrics.addState(types.size)
-        hi += 1
-      }
+    }
+
+    /** Whether the new cell at `hi` evolves as cell `c` does from now on:
+      * both have the same windows (pane, and first window, which differs
+      * inside a pane when the length is not a multiple of the slide), so
+      * the same expiry and snapshot layout, and every reader's snapshot
+      * at them is equal, so the same combination factors.
+      */
+    private def joins(c: Int): Boolean = {
+      val tc = times(c); val th = times(hi)
+      var same = tc / win.slideSec == th / win.slideSec && win.firstWindowStart(tc) == win.firstWindowStart(th)
+      var s = 0
+      while (same && s < snaps.length) { same = java.util.Arrays.equals(snaps(s)(c), snaps(s)(hi)); s += 1 }
+      same
     }
 
     /** Phase 1 for this timestamp's START cell: its readers at position

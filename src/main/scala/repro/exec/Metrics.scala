@@ -3,8 +3,10 @@ package repro.exec
 /** Deterministic work/memory meters for the online engine, mirroring the
   * paper's cost model (§3) and memory metric (§8.1):
   *
-  *  - `countUpdates` — per-START count maintenance operations (the
-  *    Non-Shared / Comp cost, Eqs 2 and 4);
+  *  - `countUpdates` — count maintenance operations, one per live START
+  *    cell a level update passes over and one per arriving START
+  *    timestamp (the Non-Shared / Comp cost, Eqs 2 and 4, per cell rather
+  *    than per START);
   *  - `combMults` — snapshot cells copied plus multiplications performed
   *    during count combination (the Comb cost, Eq 5);
   *  - `peakStateUnits` — maximum number of live state entries (counts,

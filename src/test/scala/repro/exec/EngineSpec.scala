@@ -210,16 +210,16 @@ class EngineSpec extends AnyFunSuite {
       ev(4, "B"), ev(5, "B"), ev(5, "D"), ev(7, "C"), ev(8, "D"))
     val w7 = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C", "D"), Pattern("A", "B"))
     val shared7 = CompiledPlan.compile(w7, Seq(candidate(w7, Pattern("A", "B"), Set(0, 1))), ids)
-    assert(meters(shared7, fig7) == ((12L, 13L, 14L)))
-    assert(meters(CompiledPlan.nonShared(w7, ids), fig7) == ((21L, 8L, 14L)))
+    assert(meters(shared7, fig7) == ((10L, 10L, 12L)))
+    assert(meters(CompiledPlan.nonShared(w7, ids), fig7) == ((14L, 5L, 8L)))
     // Seed 0 of the two property tests below.
     val w1 = workloadOf(WindowSpec(12, 4), Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
     assert(meters(CompiledPlan.nonShared(w1, ids), randomEvents(0L, 40, 30, 4, 2)) ==
-      ((91L, 116L, 61L)))
+      ((79L, 92L, 51L)))
     val w2 = workloadOf(WindowSpec(12, 4),
       Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
     val shared2 = CompiledPlan.compile(w2, Seq(candidate(w2, Pattern("B", "C"), Set(0, 1, 2))), ids)
-    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((60L, 210L, 134L)))
+    assert(meters(shared2, randomEvents(1000L, 40, 30, 4, 2)) == ((59L, 203L, 112L)))
   }
 
   test("ties: STARTs of one timestamp are one cell, and a START completed at one timestamp is combined once") {
@@ -242,23 +242,66 @@ class EngineSpec extends AnyFunSuite {
     assert(run(40, 40).combMults == one.combMults)
   }
 
-  test("combination is per pane: each A of one pane costs one snapshot read, not one per level") {
-    val w  = workloadOf(WindowSpec(1000, 1000), Pattern("A", "B", "C", "D"), Pattern("B", "C"))
+  test("combination is per pane: the As of one pane are one cell, and each pane costs one unit per level") {
+    val w  = workloadOf(WindowSpec(1000, 2), Pattern("A", "B", "C", "D"), Pattern("B", "C"))
     val cw = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), ids)
     assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0), Vector(1, 2), Vector(3)))
-    // Each A at its own timestamp: As of one timestamp are one START cell.
-    def run(nA: Int): (Long, Long) = {
-      val as = (0 until nA).map(i => ev(1L + i, "A"))
-      val (res, m) = runEngine(cw, as ++ Seq(ev(400, "B"), ev(410, "C"), ev(420, "D")))
-      (res((0, 0L)), m.combMults)
+    // `perPane` As, each at its own timestamp, in each of the 2 s panes 1..panes.
+    def mults(panes: Int, perPane: Int): Long = {
+      val as = for (p <- 1 to panes; i <- 0 until perPane) yield ev(2L * p + i, "A")
+      val (res, m) = runEngine(cw, as ++ Seq(ev(700, "B"), ev(710, "C"), ev(720, "D")))
+      assert(res((0, 0L)) == panes.toLong * perPane)
+      m.combMults
     }
-    val (n150, mults150) = run(150)
-    val (n300, mults300) = run(300)
-    assert(n150 == 150 && n300 == 300)
-    // The snapshot at b400 reads each A once; combining at c410 and d420
-    // touches one pane, whatever the number of As.
-    assert(mults300 - mults150 == 150)
-    assert(mults300 - 300 < 10)
+    val mults150 = mults(150, 1)
+    val mults300 = mults(300, 1)
+    // A second A in every pane joins the first one's cell: no work at all.
+    assert(mults(150, 2) == mults150)
+    assert(mults(300, 2) == mults300)
+    // Each pane costs one snapshot read at b700, one combined cell at
+    // c710 and one snapshot read at d720; the final level costs per window.
+    assert(mults300 - mults150 == 3 * 150)
+  }
+
+  test("per-pane A-Seq: a position-0 segment holds one cell per live pane, whatever its STARTs") {
+    val win = WindowSpec(1000, 250)
+    val w   = workloadOf(win, Pattern("A", "B"))
+    val cw  = CompiledPlan.nonShared(w, ids)
+    val livePanes = win.lengthSec / win.slideSec + 1
+    // n As and n Bs alternating over one window, each at its own timestamp.
+    def run(n: Int): EngineMetrics = {
+      val step   = 1000 / (2 * n)
+      val events = (0 until n).flatMap(i => Seq(ev(2L * i * step, "A"), ev((2L * i + 1) * step, "B")))
+      val (res, m) = runEngine(cw, events)
+      assert(res == bruteWorkload(events, w, ids), s"n=$n")
+      // Each A joins or opens a cell; each B advances at most `livePanes` cells.
+      assert(m.countUpdates <= n + n * livePanes, s"n=$n")
+      m
+    }
+    val few  = run(20)
+    val many = run(250)
+    assert(many.peakStateUnits == few.peakStateUnits)
+  }
+
+  test("a later-position segment merges STARTs while its readers' prefix counts stay the same") {
+    val w  = workloadOf(WindowSpec(100, 100), Pattern("A", "B", "C"), Pattern("B", "C"))
+    val cw = CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1))), ids)
+    assert(cw.queries(0).segments.map(_.types) == Vector(Vector(0), Vector(1, 2)))
+    def run(events: Seq[Event]): EngineMetrics = {
+      val (res, m) = runEngine(cw, events)
+      assert(res == bruteWorkload(events, w, ids), events.mkString(" "))
+      m
+    }
+    // a1 then n Bs: every B sees the same count(A) = 1, so the Bs are one cell.
+    def merged(n: Int) = run(ev(1, "A") +: (1 to n).map(i => ev(1L + i, "B")) :+ ev(50, "C"))
+    // An A before every B: each B sees a new count(A), so each is its own cell.
+    def split(n: Int) = run((1 to n).flatMap(i => Seq(ev(2L * i - 1, "A"), ev(2L * i, "B"))) :+ ev(50, "C"))
+    // One update per arriving START, plus one per live B cell at c50.
+    assert(merged(1).countUpdates == 3)
+    assert(merged(10).countUpdates == 1 + 10 + 1)
+    assert(merged(10).peakStateUnits == merged(1).peakStateUnits)
+    assert(split(10).countUpdates == 10 + 10 + 10)
+    assert(split(10).peakStateUnits > merged(10).peakStateUnits)
   }
 
   test("expiration prunes state on long streams (streaming emission)") {
@@ -337,15 +380,20 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  // Windows whose length is not a multiple of the slide: STARTs of one
+  // pane then can have different first windows.
+  private val oddWindows = Seq(WindowSpec(10, 3), WindowSpec(12, 5))
+
   test("property: A-Seq engine equals brute force on random streams") {
-    val win = WindowSpec(12, 4)
-    val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
-    val cw  = CompiledPlan.nonShared(w, ids)
-    for (seed <- 0L until 30L) {
-      val events = randomEvents(seed, 40, 30, 4, 2)
-      val res    = runEngineMultiKey(cw, events)
-      val brute  = bruteWorkload(events, w, ids)
-      assert(res == brute, s"seed=$seed")
+    for (win <- WindowSpec(12, 4) +: oddWindows) {
+      val w  = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
+      val cw = CompiledPlan.nonShared(w, ids)
+      for (seed <- 0L until 30L) {
+        val events = randomEvents(seed, 40, 30, 4, 2)
+        val res    = runEngineMultiKey(cw, events)
+        val brute  = bruteWorkload(events, w, ids)
+        assert(res == brute, s"$win seed=$seed")
+      }
     }
   }
 
@@ -363,7 +411,12 @@ class EngineSpec extends AnyFunSuite {
     candidate(wFour, Pattern("E", "F"), Set(0, 2))), ids)
   private val sharonCases = Seq(
     ("Sharon", wShared, shared, (seed: Long) => randomEvents(seed + 1000, 40, 30, 4, 2)),
-    ("Sharon, four segments", wFour, four, (seed: Long) => randomEvents(seed + 2000, 80, 30, 6, 2)))
+    ("Sharon, four segments", wFour, four, (seed: Long) => randomEvents(seed + 2000, 80, 30, 6, 2))) ++
+    oddWindows.map { win =>
+      val w = Workload(wShared.queries.map(_.copy(window = win)))
+      (s"Sharon, $win", w, CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids),
+        (seed: Long) => randomEvents(seed + 1000, 40, 30, 4, 2))
+    }
   private val wASeq    = workloadOf(WindowSpec(12, 4),
     Pattern("A", "B", "C"), Pattern("B", "C"), Pattern("A", "B"))
   private val aseq     = CompiledPlan.nonShared(wASeq, ids)
@@ -480,7 +533,7 @@ class EngineSpec extends AnyFunSuite {
   }
 
   test("many live START cells: the cell arrays grow, compact and empty, and counts stay exact") {
-    val win = WindowSpec(40, 8)
+    val win = WindowSpec(48, 1)
     val w   = workloadOf(win, Pattern("A", "B", "C"), Pattern("B", "C", "D"), Pattern("A", "B", "C", "D"))
     val plans = Seq(
       "Sharon" -> CompiledPlan.compile(w, Seq(candidate(w, Pattern("B", "C"), Set(0, 1, 2))), ids),
@@ -488,7 +541,11 @@ class EngineSpec extends AnyFunSuite {
     assert(plans(0)._2.queries(2).segments.map(_.types) == Vector(Vector(0), Vector(1, 2), Vector(3)))
     // Three bursts of 200 s, 60 s apart: a gap longer than the 48 s a
     // START lives empties every segment. Within a burst, As (often two at
-    // once) and Bs arrive in most seconds; Cs and Ds are sparse.
+    // once) and Bs arrive in most seconds; Cs and Ds are sparse. With a
+    // 1 s slide every second is its own pane, so a position-0 segment
+    // (A's in both plans, and every A-Seq segment) holds one cell per
+    // START second, and so does Sharon's (B,C), whose readers' prefix
+    // counts change in most seconds.
     def stream(seed: Long): Seq[Event] = {
       val rnd   = new scala.util.Random(seed)
       val rates = Seq("A" -> 0.8, "A" -> 0.3, "B" -> 0.8, "C" -> 0.15, "D" -> 0.15)
@@ -497,7 +554,7 @@ class EngineSpec extends AnyFunSuite {
     }
     for (seed <- 0L until 3L) {
       val events = stream(seed)
-      // More than 32 START timestamps of A and of B live at once, and over
+      // More than 32 START seconds of A and of B live at once, and over
       // 128 in a burst: the 16-cell arrays double to 128 and then compact.
       for (ty <- Seq("A", "B")) {
         val times = events.filter(_.etype == ids(ty)).map(_.time).distinct
